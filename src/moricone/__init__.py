@@ -33,6 +33,7 @@ from .cones import (  # noqa: F401
     cones_equal,
     contains,
     dual,
+    generated,
     lp_feasible,
 )
 from .certificates import (  # noqa: F401

@@ -401,7 +401,7 @@ def _block_diag(m1: Mat, r1: int, m2: Mat, r2: int) -> Mat:
     return tuple(rows)
 
 
-def _identity(n: int) -> Mat:
+def identity_matrix(n: int) -> Mat:
     return tuple(tuple(Fraction(1) if i == j else Fraction(0)
                        for j in range(n)) for i in range(n))
 
@@ -530,10 +530,10 @@ def build_product_certificates(
             prev2 = f2.outer[xidx[1](j - 1)].child
             restriction = _block_diag(f1.outer[p1].restriction,
                                       f1.outer[p1 - 1].child.rank,
-                                      _identity(prev2.rank), prev2.rank)
+                                      identity_matrix(prev2.rank), prev2.rank)
         else:
             prev1 = f1.outer[xidx[0](j - 1)].child
-            restriction = _block_diag(_identity(prev1.rank), prev1.rank,
+            restriction = _block_diag(identity_matrix(prev1.rank), prev1.rank,
                                       f2.outer[p2].restriction,
                                       f2.outer[p2 - 1].child.rank)
         next_class = None
@@ -560,19 +560,19 @@ def build_product_certificates(
                 if aidx[0](i + 1) != x1:
                     right_class = _pad_vec(cell1.right_class, 0, s2.rank)
                     right_map = _block_diag(cell1.right_map, s1.rank,
-                                            _identity(s2.rank), s2.rank)
+                                            identity_matrix(s2.rank), s2.rank)
                 else:
                     right_class = _pad_vec(cell2.right_class, s1.rank, 0)
-                    right_map = _block_diag(_identity(s1.rank), s1.rank,
+                    right_map = _block_diag(identity_matrix(s1.rank), s1.rank,
                                             cell2.right_map, s2.rank)
             if j < b:
                 if bidx[0](j + 1) != y1:
                     down_class = _pad_vec(cell1.down_class, 0, s2.rank)
                     down_map = _block_diag(cell1.down_map, s1.rank,
-                                           _identity(s2.rank), s2.rank)
+                                           identity_matrix(s2.rank), s2.rank)
                 else:
                     down_class = _pad_vec(cell2.down_class, s1.rank, 0)
-                    down_map = _block_diag(_identity(s1.rank), s1.rank,
+                    down_map = _block_diag(identity_matrix(s1.rank), s1.rank,
                                            cell2.down_map, s2.rank)
             cells[(i, j)] = GridCell(
                 stratum=_product_stratum(s1, s2),
@@ -618,10 +618,10 @@ def build_product_certificates(
         elif cidx[0](j) != cidx[0](j - 1):
             prev2 = ch2[cidx[1](j - 1)][0]
             restriction = _block_diag(ch1[p1][1], ch1[p1 - 1][0].rank,
-                                      _identity(prev2.rank), prev2.rank)
+                                      identity_matrix(prev2.rank), prev2.rank)
         else:
             prev1 = ch1[cidx[0](j - 1)][0]
-            restriction = _block_diag(_identity(prev1.rank), prev1.rank,
+            restriction = _block_diag(identity_matrix(prev1.rank), prev1.rank,
                                       ch2[p2][1], ch2[p2 - 1][0].rank)
         if cidx[0](j + 1) != p1:
             next_class = _pad_vec(ch1[p1][2], 0, s2.rank)
@@ -645,11 +645,13 @@ def _num_out(x: Fraction):
 
 
 def _num_in(x) -> Fraction:
-    if isinstance(x, str):
+    # bool is a subclass of int; a JSON true must not read as 1.
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise CertificateError(f"expected an integer or 'p/q' string, got {x!r}")
+    try:
         return Fraction(x)
-    if isinstance(x, (int,)):
-        return Fraction(x)
-    raise CertificateError(f"expected an integer or 'p/q' string, got {x!r}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CertificateError(f"not an exact rational: {x!r}") from exc
 
 
 def _vec_out(v: Vec):
@@ -724,10 +726,13 @@ def certificate_to_dict(cert: Union[ChainCertificate, GridCertificate]) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Union[ChainCertificate, GridCertificate]:
+    if not isinstance(data, dict):
+        raise CertificateError(
+            f"a certificate document is a JSON object, got {type(data).__name__}")
     kind = data.get("kind", "chain")
     try:
         return _certificate_from_dict(data, kind)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise CertificateError(
             f"malformed {kind} certificate document: {exc!r}") from exc
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -84,9 +83,7 @@ def _fmt(x) -> str:
 def _budget_from(args) -> Optional[Budget]:
     seconds = getattr(args, "budget_seconds", None)
     if seconds is None:
-        env = os.environ.get(sc.BUDGET_ENV_VAR)
-        if env:
-            seconds = float(env)
+        seconds = sc.env_budget_seconds()
     rays = getattr(args, "budget_rays", None)
     if seconds is None and rays is None:
         return None
@@ -142,7 +139,7 @@ def _cmd_dp_scenario(args):
     s = sc.build_scenario(args.r1, args.r2)
     budget = _budget_from(args)
     ne_gens = [{"name": c.name, "vector": c.vector} for c in s.ne_curves()]
-    if s.r2 in (7, 8):
+    if s.r2 in sc.HEAVY_R2:
         claimed = sc.claimed_nef_vectors_light(s)
         scope = ("second-factor nef pullbacks omitted here; they are "
                  "derived by dualization on demand")

@@ -121,12 +121,15 @@ def is_zero(v: Sequence[Number]) -> bool:
 
 @dataclass(frozen=True)
 class PolyCone:
-    """A pointed rational polyhedral cone in canonical V-form.
+    """A rational polyhedral cone in V-form.
 
-    ``rays`` are the extremal rays: primitive integer vectors sorted
-    lexicographically.  ``inequalities``, when present, is a valid
-    H-description (every ``u`` with ``u . x >= 0`` on the cone); ``dual``
-    fills it in with the primal generators.
+    ``rays`` are primitive integer vectors, distinct and sorted
+    lexicographically.  When ``canonical`` is true they are exactly the
+    extremal rays of a pointed cone; otherwise (from :func:`generated`) they
+    are a generating set that may hold redundant generators.
+    ``inequalities``, when present, is a valid H-description (every ``u``
+    with ``u . x >= 0`` on the cone); ``dual`` fills it in with the primal
+    generators.
     """
 
     dim: int
@@ -138,10 +141,30 @@ class PolyCone:
         return contains(self, v).member
 
 
+def generated(dim: int, vectors: Iterable[Sequence[Number]]) -> PolyCone:
+    """The cone generated by ``vectors``: each rescaled to primitive form,
+    zeros and duplicates dropped, sorted.  No LP runs, so redundant
+    generators stay and pointedness is not checked (``canonical=False``).
+
+    Raises :class:`DimensionMismatchError` if some vector has the wrong
+    length.
+    """
+    cleaned = set()
+    for i, r in enumerate(vectors):
+        rr = tuple(r)
+        if len(rr) != dim:
+            raise DimensionMismatchError(
+                f"ray #{i} has length {len(rr)}, expected {dim}")
+        p = primitive(rr)
+        if not is_zero(p):
+            cleaned.add(p)
+    return PolyCone(dim, tuple(sorted(cleaned)), canonical=False)
+
+
 def cone_from_rays(dim: int, rays: Iterable[Sequence[Number]],
                    budget: Optional[Budget] = None) -> PolyCone:
-    """Canonicalize a generating set: drop zeros, rescale to primitive form,
-    remove redundant generators, sort.
+    """Canonicalize a generating set: :func:`generated`, then remove
+    redundant generators.
 
     Raises :class:`DimensionMismatchError` if some ray has the wrong length
     and :class:`LinealityError` if the generated cone contains a line (the
@@ -151,38 +174,24 @@ def cone_from_rays(dim: int, rays: Iterable[Sequence[Number]],
     deadline = None
     if budget is not None and budget.max_seconds is not None:
         deadline = time.monotonic() + budget.max_seconds
-    cleaned: list[IntVector] = []
-    seen = set()
-    for i, r in enumerate(rays):
-        rr = tuple(r)
-        if len(rr) != dim:
-            raise DimensionMismatchError(
-                f"ray #{i} has length {len(rr)}, expected {dim}")
-        p = primitive(rr)
-        if is_zero(p) or p in seen:
-            continue
-        seen.add(p)
-        cleaned.append(p)
-    if not cleaned:
+    keep = list(generated(dim, rays).rays)
+    if not keep:
         return PolyCone(dim, ())
 
     # Pointedness: a nonzero nonnegative combination summing to zero exists
     # iff the cone contains a line.  Solve  sum l_i g_i = 0, sum l_i = 1.
-    columns = [g + (1,) for g in cleaned]
+    columns = [g + (1,) for g in keep]
     target = tuple([0] * dim) + (1,)
     feasible, lam, _ = _phase1_simplex(columns, target)
     if feasible:
-        nz = [(c, g) for c, g in zip(lam, cleaned) if c != 0]
         raise LinealityError(
             "input rays generate a non-pointed cone "
             "(a nonzero nonnegative combination vanishes)",
-            witness=(tuple(lam), tuple(cleaned)))
+            witness=(tuple(lam), tuple(keep)))
 
     # Extremality: for a pointed cone a generator is redundant exactly when
     # it lies in the cone of the others, and removing a redundant generator
     # never changes anyone else's status — one sweep suffices.
-    cleaned.sort()
-    keep = list(cleaned)
     i = 0
     while i < len(keep):
         if deadline is not None and time.monotonic() > deadline:
@@ -238,22 +247,25 @@ class EqualityVerdict:
 
 
 def cones_equal(a: PolyCone, b: PolyCone) -> EqualityVerdict:
-    """Mutual containment of generators, with a witness ray on failure."""
+    """Mutual containment of generators, with a witness ray on failure.
+
+    A ray that the other cone lists is trivially a member of it, so only the
+    remaining rays are decided by exact LP; two cones that list the same
+    rays compare with no LP at all.  Exact for any generating sets.
+    """
     if a.dim != b.dim:
         raise DimensionMismatchError(
             f"cones live in dimensions {a.dim} and {b.dim}")
-    for g in a.rays:
-        m = contains(b, g)
-        if not m.member:
-            return EqualityVerdict(False, witness_ray=g,
-                                   witness_side="first-not-in-second",
-                                   separator=m.separator)
-    for g in b.rays:
-        m = contains(a, g)
-        if not m.member:
-            return EqualityVerdict(False, witness_ray=g,
-                                   witness_side="second-not-in-first",
-                                   separator=m.separator)
+    for first, second, side in ((a, b, "first-not-in-second"),
+                                (b, a, "second-not-in-first")):
+        listed = set(second.rays)
+        for g in first.rays:
+            if g in listed:
+                continue
+            m = contains(second, g)
+            if not m.member:
+                return EqualityVerdict(False, witness_ray=g, witness_side=side,
+                                       separator=m.separator)
     return EqualityVerdict(True)
 
 
@@ -266,8 +278,9 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
 
     Requires the generators to span the ambient space (otherwise the dual
     contains a line and has no canonical ray form — :class:`LinealityError`
-    with an orthogonal witness vector).  The input should be canonical;
-    redundant generators are tolerated (they only add redundant constraints).
+    with an orthogonal witness vector).  Any generating set will do, such as
+    one from :func:`generated`: redundant generators only add redundant
+    constraints.
 
     The result is deterministic: constraints are inserted in a fixed order
     (a greedy lexicographic basis first, the rest in lexicographic order) and
@@ -282,7 +295,7 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
         raise LinealityError(
             "dual of the trivial cone is the whole space",
             witness=tuple([1] + [0] * (d - 1)))
-    kern = _kernel_vector(rows, d)
+    basis_idx, kern = _basis_or_kernel(rows, d)
     if kern is not None:
         raise LinealityError(
             "generators do not span the space; the dual contains a line",
@@ -295,8 +308,8 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
             deadline = time.monotonic() + budget.max_seconds
         max_rays = budget.max_rays
 
-    basis_idx = _greedy_basis(rows, d)
-    rest_idx = [i for i in range(len(rows)) if i not in set(basis_idx)]
+    in_basis = set(basis_idx)
+    rest_idx = [i for i in range(len(rows)) if i not in in_basis]
     B = [rows[i] for i in basis_idx]
     rays_cur: list[IntVector] = _scaled_inverse_columns(B)
     # masks[k] bit t set  <=>  processed constraint #t vanishes on ray k
@@ -344,7 +357,7 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
                         kind="seconds", rays_so_far=len(rays_cur),
                         constraints_done=processed)
                 z = mp & masks[kn]
-                if _popcount(z) < d - 2:
+                if z.bit_count() < d - 2:
                     continue
                 if not _combinatorially_adjacent(z, kp, kn, masks):
                     continue
@@ -376,10 +389,6 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
     return PolyCone(d, tuple(out), inequalities=tuple(rows))
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _combinatorially_adjacent(z: int, kp: int, kn: int, masks: list[int]) -> bool:
     """Rays kp, kn are adjacent iff no third ray's zero set contains z."""
     for k, m in enumerate(masks):
@@ -399,8 +408,15 @@ def _reduce_int(vec: Sequence[int]) -> IntVector:
     return tuple(x // g for x in vec)
 
 
-def _greedy_basis(rows: Sequence[IntVector], d: int) -> list[int]:
-    """Indices of the first maximal independent subset, scanning in order."""
+def _basis_or_kernel(rows: Sequence[IntVector], d: int
+                     ) -> tuple[Optional[list[int]], Optional[IntVector]]:
+    """One row-by-row elimination over ``rows``.
+
+    Returns ``(indices, None)`` with the first maximal independent subset,
+    scanning in order, when the rows span the space; otherwise
+    ``(None, z)`` with a primitive nonzero ``z`` such that row . z = 0 for
+    all rows.
+    """
     chosen: list[int] = []
     echelon: list[list[Fraction]] = []
     pivots: list[int] = []
@@ -417,26 +433,7 @@ def _greedy_basis(rows: Sequence[IntVector], d: int) -> list[int]:
         pivots.append(piv)
         chosen.append(i)
         if len(chosen) == d:
-            break
-    return chosen
-
-
-def _kernel_vector(rows: Sequence[IntVector], d: int) -> Optional[IntVector]:
-    """A primitive nonzero z with row . z = 0 for all rows, or None."""
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = [Fraction(x) for x in row]
-        for e, p in zip(echelon, pivots):
-            if v[p] != 0:
-                c = v[p] / e[p]
-                v = [a - c * b for a, b in zip(v, e)]
-        piv = next((j for j, x in enumerate(v) if x != 0), None)
-        if piv is not None:
-            echelon.append(v)
-            pivots.append(piv)
-            if len(pivots) == d:
-                return None
+            return chosen, None
     free = next(j for j in range(d) if j not in pivots)
     z = [Fraction(0)] * d
     z[free] = Fraction(1)
@@ -446,7 +443,7 @@ def _kernel_vector(rows: Sequence[IntVector], d: int) -> Optional[IntVector]:
         z[p] = -sum(e[j] * z[j] for j in range(d) if j != p) / e[p]
     out = primitive(z)
     assert all(_idot(row, out) == 0 for row in rows)
-    return out
+    return None, out
 
 
 def _scaled_inverse_columns(B: Sequence[IntVector]) -> list[IntVector]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Budget, DimensionMismatchError, PolyCone, cone_from_rays, dual
+from .cones import Budget, DimensionMismatchError, PolyCone, dual, generated
 
 MAX_POINTS = 8
 _DEGREE_HARD_CAP = 10  # belt and braces on top of the Cauchy-Schwarz bound
@@ -111,14 +111,15 @@ def ne_generators(L: DelPezzoLattice) -> tuple[tuple[int, ...], ...]:
     return minus_one_classes(L)
 
 
-def _pairing_row(L: DelPezzoLattice, c: Sequence[int]) -> tuple[int, ...]:
-    """The functional D -> D.c as a standard-dot row (negate E-coords)."""
+def pairing_row(c: Sequence[int]) -> tuple[int, ...]:
+    """The functional D -> D.c as a standard-dot row on divisor
+    coefficients (negate the E-coordinates)."""
     return (c[0],) + tuple(-x for x in c[1:])
 
 
 def nef_cone(L: DelPezzoLattice, budget: Optional[Budget] = None) -> PolyCone:
-    rows = [_pairing_row(L, c) for c in ne_generators(L)]
-    return dual(cone_from_rays(L.rank, rows, budget=budget), budget=budget)
+    rows = [pairing_row(c) for c in ne_generators(L)]
+    return dual(generated(L.rank, rows), budget=budget)
 
 
 def is_nef(L: DelPezzoLattice, D: Sequence) -> bool:

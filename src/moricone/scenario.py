@@ -28,6 +28,7 @@ from .certificates import (
     ProductCertificates,
     Stratum,
     build_product_certificates,
+    identity_matrix,
     verify_HE_hypotheses,
     verify_HEF_hypotheses,
 )
@@ -37,11 +38,11 @@ from .cones import (
     LinearProgram,
     PolyCone,
     check_infeasibility_certificate,
-    cone_from_rays,
     cones_equal,
     constraint,
     contains,
     dual,
+    generated,
     lp_feasible,
 )
 
@@ -122,12 +123,6 @@ class Scenario:
         return 3 + self.r1 + self.r2
 
 
-def _functional(cls: Sequence[int]) -> tuple[int, ...]:
-    """Dot-product row computing (divisor . curve) on a factor surface from
-    divisor coefficients, for the curve of class `cls`."""
-    return (cls[0],) + tuple(-x for x in cls[1:])
-
-
 def build_scenario(r1: int, r2: int) -> Scenario:
     if not (0 <= r1 <= MAX_R1):
         raise ValueError(f"first factor needs 0 <= r1 <= {MAX_R1}, got {r1}")
@@ -183,7 +178,7 @@ def build_scenario(r1: int, r2: int) -> Scenario:
     if r2 >= 1:
         lattice2 = delpezzo.build(r2)
         for k, cls in enumerate(delpezzo.minus_one_classes(lattice2), 1):
-            row = _functional(cls)
+            row = delpezzo.pairing_row(cls)
             entries = {"H2": cls[0], "E": cls[0]}
             for j in range(1, r2 + 1):
                 entries[f"E2_{j}"] = row[j]
@@ -194,8 +189,8 @@ def build_scenario(r1: int, r2: int) -> Scenario:
                     curves=tuple(curves))
 
 
-def pairing(divisor: Sequence, curve_vector: Sequence) -> Fraction:
-    return sum(Fraction(a) * b for a, b in zip(divisor, curve_vector))
+def pairing(divisor: Sequence, curve_vector: Sequence):
+    return sum(a * b for a, b in zip(divisor, curve_vector))
 
 
 def anticanonical(s: Scenario) -> tuple[int, ...]:
@@ -210,8 +205,8 @@ def delta_divisor(s: Scenario) -> tuple[Fraction, ...]:
             + (Fraction(0),) * s.r2 + (Fraction(-2, 3), Fraction(-1, 3)))
 
 
-def ne_generators(s: Scenario, budget: Optional[Budget] = None) -> PolyCone:
-    return cone_from_rays(s.rho, [c.vector for c in s.ne_curves()], budget)
+def ne_generators(s: Scenario) -> PolyCone:
+    return generated(s.rho, [c.vector for c in s.ne_curves()])
 
 
 def t1_divisors(s: Scenario) -> tuple[NamedVector, ...]:
@@ -260,25 +255,31 @@ def _embed_factor(s: Scenario, factor: int, cls: Sequence[int]) -> tuple:
     return tuple(v)
 
 
+def _factor_nef_vectors(s: Scenario, factor: int,
+                        budget: Optional[Budget] = None) -> tuple[NamedVector, ...]:
+    lattice = delpezzo.build(s.r1 if factor == 1 else s.r2)
+    return tuple(NamedVector(f"nef{factor}_{k}", _embed_factor(s, factor, ray))
+                 for k, ray in enumerate(delpezzo.nef_cone(lattice, budget).rays, 1))
+
+
 def claimed_nef_vectors(s: Scenario,
                         budget: Optional[Budget] = None) -> tuple[NamedVector, ...]:
     """Generators of the claimed nef cone: pullbacks of both factors' nef
     generators plus the mixed divisors in T."""
-    out = []
-    for factor, r in ((1, s.r1), (2, s.r2)):
-        lattice = delpezzo.build(r)
-        for k, ray in enumerate(delpezzo.nef_cone(lattice, budget).rays, 1):
-            out.append(NamedVector(f"nef{factor}_{k}",
-                                   _embed_factor(s, factor, ray)))
-    out.extend(t_divisors(s))
-    return tuple(out)
+    return (_factor_nef_vectors(s, 1, budget) + _factor_nef_vectors(s, 2, budget)
+            + t_divisors(s))
+
+
+def claimed_nef_vectors_light(s: Scenario) -> tuple[NamedVector, ...]:
+    """The cheap part of the claimed generators: first-factor nef pullbacks
+    and T, skipping the second factor's nef generators."""
+    return _factor_nef_vectors(s, 1) + t_divisors(s)
 
 
 def nef_generators_claimed(s: Scenario,
                            budget: Optional[Budget] = None) -> PolyCone:
-    return cone_from_rays(s.rho,
-                          [nv.vector for nv in claimed_nef_vectors(s, budget)],
-                          budget)
+    return generated(s.rho,
+                     [nv.vector for nv in claimed_nef_vectors(s, budget)])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,15 @@ EQ_EQUAL = "equal"
 EQ_UNEQUAL = "unequal"
 EQ_GATED = "budget exceeded, containment only"
 
-_HEAVY_R2 = (7, 8)
+# Second factors whose cone equality is attempted only under a budget: the
+# dP8 nef cone alone has 19440 rays.
+HEAVY_R2 = (8,)
+
+
+def env_budget_seconds() -> Optional[float]:
+    """The time budget named by ``$MORICONE_BUDGET_SECONDS``, if set."""
+    env = os.environ.get(BUDGET_ENV_VAR)
+    return float(env) if env else None
 
 
 @dataclass(frozen=True)
@@ -330,7 +339,7 @@ def _factor_block_witness(s: Scenario) -> Optional[dict]:
         if c.factor == 2:
             if c.factor_class not in minus_one:
                 return {"curve": c.name, "reason": "unknown factor class"}
-            row = _functional(c.factor_class)
+            row = delpezzo.pairing_row(c.factor_class)
             expected = [0] * s.rho
             for pos, val in zip(slots2, row):
                 expected[pos] = val
@@ -346,56 +355,40 @@ def _factor_block_witness(s: Scenario) -> Optional[dict]:
 
 def verify_theorem(s: Scenario, budget: Optional[Budget] = None) -> TheoremVerdict:
     """Containment (always exact) and equality of the claimed nef cone with
-    the dual of the claimed cone of curves (exact for r2 <= 6; budget-gated
-    for r2 in {7, 8})."""
+    the dual of the claimed cone of curves (exact for r2 not in
+    ``HEAVY_R2``; budget-gated there)."""
     ne_curves = s.ne_curves()
-    heavy = s.r2 in _HEAVY_R2
-
-    if not heavy:
+    if s.r2 not in HEAVY_R2:
         claimed = claimed_nef_vectors(s, budget)
         witness = _containment_explicit(ne_curves, claimed)
-        mode = CONTAINMENT_EXPLICIT
-    else:
-        light = tuple(nv for nv in claimed_nef_vectors_light(s))
-        witness = _containment_explicit(ne_curves, light)
-        if witness is None:
-            witness = _factor_block_witness(s)
-        mode = CONTAINMENT_FACTOR
-    containment_ok = witness is None
+        return TheoremVerdict(s.r1, s.r2, witness is None,
+                              CONTAINMENT_EXPLICIT, witness,
+                              *_equality(s, claimed, budget))
 
-    if heavy:
-        if budget is None:
-            env = os.environ.get(BUDGET_ENV_VAR)
-            if env:
-                budget = Budget(max_seconds=float(env))
-        if budget is None:
-            return TheoremVerdict(s.r1, s.r2, containment_ok, mode, witness,
-                                  EQ_GATED, None)
-        try:
-            return TheoremVerdict(s.r1, s.r2, containment_ok, mode, witness,
-                                  *_equality(s, budget))
-        except BudgetExceededError:
-            return TheoremVerdict(s.r1, s.r2, containment_ok, mode, witness,
-                                  EQ_GATED, None)
-    return TheoremVerdict(s.r1, s.r2, containment_ok, mode, witness,
-                          *_equality(s, budget))
+    witness = (_containment_explicit(ne_curves, claimed_nef_vectors_light(s))
+               or _factor_block_witness(s))
+    gated = TheoremVerdict(s.r1, s.r2, witness is None, CONTAINMENT_FACTOR,
+                           witness, EQ_GATED, None)
+    if budget is None:
+        seconds = env_budget_seconds()
+        if seconds is None:
+            return gated
+        budget = Budget(max_seconds=seconds)
+    try:
+        equality = _equality(s, claimed_nef_vectors(s, budget), budget)
+    except BudgetExceededError:
+        return gated
+    return TheoremVerdict(s.r1, s.r2, witness is None, CONTAINMENT_FACTOR,
+                          witness, *equality)
 
 
-def claimed_nef_vectors_light(s: Scenario) -> tuple[NamedVector, ...]:
-    """The cheap part of the claimed generators: first-factor nef pullbacks
-    and T, skipping the second factor's nef generators."""
-    out = []
-    lattice1 = delpezzo.build(s.r1)
-    for k, ray in enumerate(delpezzo.nef_cone(lattice1).rays, 1):
-        out.append(NamedVector(f"nef1_{k}", _embed_factor(s, 1, ray)))
-    out.extend(t_divisors(s))
-    return tuple(out)
-
-
-def _equality(s: Scenario, budget: Optional[Budget]):
-    nef_from_curves = dual(ne_generators(s, budget), budget)
-    claimed = nef_generators_claimed(s, budget)
-    verdict = cones_equal(nef_from_curves, claimed)
+def _equality(s: Scenario, claimed: Sequence[NamedVector],
+              budget: Optional[Budget]):
+    """Compare dual(NE) with the cone of the claimed generators.  Both list
+    primitive rays, so when the claim is exactly the extremal rays of the
+    dual the comparison needs no LP."""
+    verdict = cones_equal(dual(ne_generators(s), budget),
+                          generated(s.rho, [nv.vector for nv in claimed]))
     if verdict.equal:
         return EQ_EQUAL, None
     side = ("dual of the curve cone" if verdict.witness_side == "first-not-in-second"
@@ -576,7 +569,8 @@ def curve_identities(s: Scenario) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 def _surface_stratum(name: str, lattice: delpezzo.DelPezzoLattice) -> Stratum:
-    oracle = tuple(_functional(c) for c in delpezzo.ne_generators(lattice))
+    oracle = tuple(delpezzo.pairing_row(c)
+                   for c in delpezzo.ne_generators(lattice))
     return Stratum(id=name, rank=lattice.rank, oracle_curves=oracle)
 
 
@@ -607,7 +601,7 @@ def factor_grids_for_t1(s: Scenario, n1: NamedVector) -> tuple[GridCertificate, 
     cstrat = Stratum(id="C", rank=1, oracle_curves=((1,),))
     cells1 = {
         (0, 0): GridCell(stratum=x1, right_class=tuple(ccls),
-                         right_map=(_functional(ccls),)),
+                         right_map=(delpezzo.pairing_row(ccls),)),
         (1, 0): GridCell(stratum=cstrat, right_class=(1,), right_map=()),
         (2, 0): GridCell(stratum=Stratum(id="pt", rank=0, oracle_curves=())),
     }
@@ -615,15 +609,15 @@ def factor_grids_for_t1(s: Scenario, n1: NamedVector) -> tuple[GridCertificate, 
                                      for j in range(1, s.r1 + 1)]
     f1 = GridCertificate(a=2, b=0, c=0, root_rank=lat1.rank,
                          outer=(ChainStep(child=x1,
-                                          restriction=_identity(lat1.rank)),),
+                                          restriction=identity_matrix(lat1.rank)),),
                          cells=cells1, divisor=tuple(n1bar))
 
     x2 = _surface_stratum("X2", lat2)
     a2cls = (1,) + (0,) * s.r2
     a2 = Stratum(id="A2", rank=1, oracle_curves=((1,),))
-    outer2 = (ChainStep(child=x2, restriction=_identity(lat2.rank),
+    outer2 = (ChainStep(child=x2, restriction=identity_matrix(lat2.rank),
                         next_class=a2cls),
-              ChainStep(child=a2, restriction=(_functional(a2cls),)))
+              ChainStep(child=a2, restriction=(delpezzo.pairing_row(a2cls),)))
     cells2 = {
         (1, 1): GridCell(stratum=a2, down_class=(1,), down_map=()),
         (1, 2): GridCell(stratum=Stratum(id="pt", rank=0, oracle_curves=())),
@@ -632,10 +626,6 @@ def factor_grids_for_t1(s: Scenario, n1: NamedVector) -> tuple[GridCertificate, 
     f2 = GridCertificate(a=1, b=2, c=1, root_rank=lat2.rank, outer=outer2,
                          cells=cells2, divisor=h2bar)
     return f1, f2
-
-
-def _identity(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def t_divisor_certificates(s: Scenario) -> dict[str, ProductCertificates]:

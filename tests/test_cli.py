@@ -80,6 +80,35 @@ def test_cert_verify_bad_schema(tmp_path):
     assert run(["cert", "verify", str(p)]) == EXIT_ERROR
 
 
+def _chain_doc():
+    return certificate_to_dict(
+        build_product_certificates(*tsukioka_factors(2, 2, 2)).chain)
+
+
+def _verify_doc(tmp_path, doc):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    return run(["cert", "verify", str(p)])
+
+
+def test_cert_verify_zero_denominator_is_input_error(tmp_path):
+    doc = _chain_doc()
+    doc["steps"][0]["restriction"][0][0] = "1/0"
+    assert _verify_doc(tmp_path, doc) == EXIT_ERROR
+
+
+def test_cert_verify_top_level_list_is_input_error(tmp_path):
+    assert _verify_doc(tmp_path, [_chain_doc()]) == EXIT_ERROR
+
+
+def test_cert_verify_boolean_entry_is_input_error(tmp_path):
+    doc = _chain_doc()
+    assert _verify_doc(tmp_path, doc) == EXIT_VERIFIED
+    assert doc["steps"][0]["restriction"][0][0] == 1
+    doc["steps"][0]["restriction"][0][0] = True
+    assert _verify_doc(tmp_path, doc) == EXIT_ERROR
+
+
 # ---------------------------------------------------------------------------
 # scenario report schema
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from moricone.cones import (
     contains,
     dot,
     dual,
+    generated,
     lp_feasible,
     primitive,
 )
@@ -120,6 +121,27 @@ def test_cones_equal_and_witness():
     assert v.witness_ray == (0, 1)
     assert v.witness_side == "first-not-in-second"
     assert dot(v.separator, (0, 1)) < 0
+
+
+def test_cones_equal_on_generated_lists():
+    assert generated(2, [(2, 0), (0, 0), (1, 0), (0, 3)]).rays == ((0, 1), (1, 0))
+    with pytest.raises(DimensionMismatchError):
+        generated(2, [(1, 0, 0)])
+    rays = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)]
+    square = generated(3, rays)
+    assert not square.canonical
+    # a redundant generator (the sum of two rays) keeps the cone
+    padded = generated(3, rays + [(2, 1, 0)])
+    assert (2, 1, 0) in padded.rays
+    assert cones_equal(square, padded).equal
+    assert cones_equal(padded, dual(dual(square))).equal
+    # dropping an extremal ray is caught, with a checkable separator
+    v = cones_equal(padded, generated(3, rays[:3] + [(2, 1, 0)]))
+    assert not v.equal
+    assert v.witness_ray == (1, 0, 1)
+    assert v.witness_side == "first-not-in-second"
+    assert all(dot(v.separator, g) >= 0 for g in rays[:3])
+    assert dot(v.separator, v.witness_ray) < 0
 
 
 # ---------------------------------------------------------------------------
