@@ -154,7 +154,8 @@ def k_degree(params: ConstructionParams) -> tuple[int, int]:
     m = relative_pairing()
     ke = (a - 1) * m[0][0] + (b - 1) * m[1][0]
     kf = (a - 1) * m[0][1] + (b - 1) * m[1][1]
-    assert (ke, kf) == (b - a, -(b - 1))
+    if (ke, kf) != (b - a, -(b - 1)):
+        raise AssertionError("K-degrees disagree with the intersection table")
     return ke, kf
 
 

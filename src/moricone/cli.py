@@ -4,7 +4,8 @@ Every subcommand prints a deterministic human-readable report to stdout (or a
 JSON report document with ``--json`` / ``--format json``) and can mirror the
 JSON document to a file with ``--out``.  Exit codes: 0 = everything requested
 verified, 1 = a verification was refuted (the report carries a witness),
-2 = usage, input, or budget error.
+2 = usage or input error, 3 = internal error (a failed internal check; the
+traceback goes to stderr and no verdict is printed).
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__, blowup, delpezzo
 from . import scenario as sc
@@ -31,11 +32,12 @@ from .certificates import (
     verify_HEF_hypotheses,
     verify_chain,
 )
-from .cones import Budget, BudgetExceededError, ConeError
+from .cones import ConeError
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +81,6 @@ def _fmt(x) -> str:
 # subcommand handlers: each returns (exit code, text lines, extra, verdicts,
 # witnesses)
 # ---------------------------------------------------------------------------
-
-def _budget_from(args) -> Optional[Budget]:
-    seconds = getattr(args, "budget_seconds", None)
-    if seconds is None:
-        seconds = sc.env_budget_seconds()
-    rays = getattr(args, "budget_rays", None)
-    if seconds is None and rays is None:
-        return None
-    return Budget(max_rays=rays, max_seconds=seconds)
-
 
 def _cmd_cones_relative(args):
     rc = blowup.relative_cones()
@@ -137,35 +129,27 @@ def _cmd_classify_construction(args):
 
 def _cmd_dp_scenario(args):
     s = sc.build_scenario(args.r1, args.r2)
-    budget = _budget_from(args)
     ne_gens = [{"name": c.name, "vector": c.vector} for c in s.ne_curves()]
-    if s.r2 in sc.HEAVY_R2:
-        claimed = sc.claimed_nef_vectors_light(s)
-        scope = ("second-factor nef pullbacks omitted here; they are "
-                 "derived by dualization on demand")
-    else:
-        claimed = sc.claimed_nef_vectors(s)
-        scope = "full"
-    nef_gens = [{"name": nv.name, "vector": nv.vector} for nv in claimed]
+    nef_gens = [{"name": nv.name, "vector": nv.vector}
+                for nv in sc.factor_nef_vectors(s, 1) + sc.t_divisors(s)]
     extra = {"r1": s.r1, "r2": s.r2, "rho": s.rho,
              "ne_generators": ne_gens, "nef_generators": nef_gens}
     lines = [
         f"scenario (r1, r2) = ({s.r1}, {s.r2}): Picard rank {s.rho}, "
         f"{len(ne_gens)} curve generators, {len(nef_gens)} listed nef "
-        f"generators ({scope})",
+        f"generators (first-factor pullbacks and T); the second factor's "
+        f"nef cone is pulled back",
     ]
-    verdicts: dict = {"nef_generator_scope": scope}
+    verdicts: dict = {}
     witnesses: dict = {}
     code = EXIT_VERIFIED
 
     if args.verify_cones:
-        v = sc.verify_theorem(s, budget)
+        v = sc.verify_theorem(s)
         verdicts["containment"] = "verified" if v.containment_ok else "refuted"
-        verdicts["containment_mode"] = v.containment_mode
         verdicts["equality"] = v.equality_status
         lines.append(f"containment of curve generators in the dual of the "
-                     f"claimed nef cone: {verdicts['containment']} "
-                     f"({v.containment_mode})")
+                     f"claimed nef cone: {verdicts['containment']}")
         lines.append(f"cone equality: {v.equality_status}")
         if v.containment_witness:
             witnesses["containment"] = v.containment_witness
@@ -241,7 +225,8 @@ def _verify_loaded_certificate(cert):
     certifies the single-blowup hypotheses, otherwise plain nefness."""
     if isinstance(cert, GridCertificate):
         return verify_HEF_hypotheses(cert), "two-step blowup hypotheses"
-    assert isinstance(cert, ChainCertificate)
+    if not isinstance(cert, ChainCertificate):
+        raise AssertionError(f"unexpected certificate type {type(cert).__name__}")
     if cert.steps[-1].next_class is not None:
         return verify_HE_hypotheses(cert), "single-blowup hypotheses"
     return verify_chain(cert), "nefness on the root space"
@@ -314,11 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE",
                         help="also write the JSON report document to FILE")
-    common.add_argument("--budget-rays", type=int, metavar="N",
-                        help="ray budget for dualization-heavy operations")
-    common.add_argument("--budget-seconds", type=float, metavar="S",
-                        help="time budget for dualization-heavy operations "
-                             f"(default: ${sc.BUDGET_ENV_VAR})")
     parents = {"parents": [common]}
 
     parser = argparse.ArgumentParser(
@@ -408,15 +388,16 @@ def run(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: not valid JSON: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except BudgetExceededError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (ValueError, ConeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception:
+        # A failed internal check is no verdict, so it must not exit 1.
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
     doc = _document(argv, extra, verdicts, witnesses, t0)
     if getattr(args, "json", False) or getattr(args, "format", None) == "json":

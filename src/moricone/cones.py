@@ -233,8 +233,8 @@ def contains(cone: PolyCone, v: Sequence[Number]) -> Membership:
         return Membership(True, combination=tuple(lam))
     u = tuple(-yi for yi in y)
     # Validate the separator exactly before handing it out.
-    assert all(dot(u, g) >= 0 for g in cone.rays)
-    assert dot(u, vv) < 0
+    if any(dot(u, g) < 0 for g in cone.rays) or dot(u, vv) >= 0:
+        raise AssertionError("simplex produced an invalid separator")
     return Membership(False, separator=u)
 
 
@@ -442,7 +442,8 @@ def _basis_or_kernel(rows: Sequence[IntVector], d: int
     for e, p in sorted(zip(echelon, pivots), key=lambda t: -t[1]):
         z[p] = -sum(e[j] * z[j] for j in range(d) if j != p) / e[p]
     out = primitive(z)
-    assert all(_idot(row, out) == 0 for row in rows)
+    if any(_idot(row, out) != 0 for row in rows):
+        raise AssertionError("kernel vector is not orthogonal to every row")
     return None, out
 
 
@@ -476,7 +477,8 @@ def _scaled_inverse_columns(B: Sequence[IntVector]) -> list[IntVector]:
     cols: list[IntVector] = []
     for k in range(d):
         col = [inv[i][k] * scale for i in range(d)]
-        assert all(x.denominator == 1 for x in col)
+        if any(x.denominator != 1 for x in col):
+            raise AssertionError("scaled inverse column is not integral")
         cols.append(_reduce_int(tuple(int(x) for x in col)))
     return cols
 
@@ -554,12 +556,15 @@ def _phase1_simplex(columns: Sequence[Sequence[Number]],
         # exact validation of the combination
         for i in range(d):
             s = sum(lam[j] * Fraction(columns[j][i]) for j in range(n))
-            assert s == b[i]
+            if s != b[i]:
+                raise AssertionError("simplex combination misses the target")
         return True, lam, None
     y = [sigma[i] * (1 - red[n + i]) for i in range(d)]
-    assert sum(yi * bi for yi, bi in zip(y, b)) == objective > 0
+    if not sum(yi * bi for yi, bi in zip(y, b)) == objective > 0:
+        raise AssertionError("simplex dual row misses the objective")
     for j in range(n):
-        assert sum(y[i] * Fraction(columns[j][i]) for i in range(d)) <= 0
+        if sum(y[i] * Fraction(columns[j][i]) for i in range(d)) > 0:
+            raise AssertionError("simplex dual row does not separate")
     return False, None, y
 
 
@@ -687,7 +692,8 @@ def lp_feasible(lp: LinearProgram) -> LPResult:
     upper = None  # tightest upper bound on eps
     upper_prov = None
     for a, e, bb, prov in rows:
-        assert all(x == 0 for x in a)
+        if any(a):
+            raise AssertionError("Fourier-Motzkin left a variable uneliminated")
         if e == 0:
             if bb > 0:
                 return _infeasible(lp, prov)
@@ -732,18 +738,17 @@ def lp_feasible(lp: LinearProgram) -> LPResult:
         elif hi is None:
             point[var] = lo
         else:
-            assert lo <= hi, "Fourier-Motzkin back-substitution inconsistency"
+            if lo > hi:
+                raise AssertionError(
+                    "Fourier-Motzkin back-substitution inconsistency")
             point[var] = (lo + hi) / 2
 
     pt = tuple(point)
     for c in lp.constraints:
         val = dot(c.coeffs, pt)
-        if c.relation == ">=":
-            assert val >= c.bound
-        elif c.relation == ">":
-            assert val > c.bound
-        else:
-            assert val == c.bound
+        if not {">=": val >= c.bound, ">": val > c.bound,
+                "=": val == c.bound}[c.relation]:
+            raise AssertionError("Fourier-Motzkin point violates a constraint")
     return LPResult(True, point=pt)
 
 
@@ -766,5 +771,6 @@ def _infeasible(lp: LinearProgram, prov: dict[int, Fraction]) -> LPResult:
     for k, w in prov.items():
         mu[k] += w
     cert = tuple(mu)
-    assert check_infeasibility_certificate(lp, cert)
+    if not check_infeasibility_certificate(lp, cert):
+        raise AssertionError("Fourier-Motzkin produced an invalid certificate")
     return LPResult(False, certificate=cert)

@@ -10,9 +10,9 @@ is all the downstream cone computations consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .cones import Budget, DimensionMismatchError, PolyCone, dual, generated
+from .cones import DimensionMismatchError, PolyCone, dual, generated
 
 MAX_POINTS = 8
 _DEGREE_HARD_CAP = 10  # belt and braces on top of the Cauchy-Schwarz bound
@@ -117,9 +117,9 @@ def pairing_row(c: Sequence[int]) -> tuple[int, ...]:
     return (c[0],) + tuple(-x for x in c[1:])
 
 
-def nef_cone(L: DelPezzoLattice, budget: Optional[Budget] = None) -> PolyCone:
+def nef_cone(L: DelPezzoLattice) -> PolyCone:
     rows = [pairing_row(c) for c in ne_generators(L)]
-    return dual(generated(L.rank, rows), budget=budget)
+    return dual(generated(L.rank, rows))
 
 
 def is_nef(L: DelPezzoLattice, D: Sequence) -> bool:

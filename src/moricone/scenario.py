@@ -15,7 +15,6 @@ refutation) can be verified with the exact cone engine.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,8 +32,6 @@ from .certificates import (
     verify_HEF_hypotheses,
 )
 from .cones import (
-    Budget,
-    BudgetExceededError,
     LinearProgram,
     PolyCone,
     check_infeasibility_certificate,
@@ -48,8 +45,6 @@ from .cones import (
 
 MAX_R1 = 3
 MAX_R2 = 8
-
-BUDGET_ENV_VAR = "MORICONE_BUDGET_SECONDS"
 
 
 @dataclass(frozen=True)
@@ -255,52 +250,29 @@ def _embed_factor(s: Scenario, factor: int, cls: Sequence[int]) -> tuple:
     return tuple(v)
 
 
-def _factor_nef_vectors(s: Scenario, factor: int,
-                        budget: Optional[Budget] = None) -> tuple[NamedVector, ...]:
+def factor_nef_vectors(s: Scenario, factor: int) -> tuple[NamedVector, ...]:
+    """Pullbacks of the nef cone generators of one factor surface."""
     lattice = delpezzo.build(s.r1 if factor == 1 else s.r2)
     return tuple(NamedVector(f"nef{factor}_{k}", _embed_factor(s, factor, ray))
-                 for k, ray in enumerate(delpezzo.nef_cone(lattice, budget).rays, 1))
+                 for k, ray in enumerate(delpezzo.nef_cone(lattice).rays, 1))
 
 
-def claimed_nef_vectors(s: Scenario,
-                        budget: Optional[Budget] = None) -> tuple[NamedVector, ...]:
+def claimed_nef_vectors(s: Scenario) -> tuple[NamedVector, ...]:
     """Generators of the claimed nef cone: pullbacks of both factors' nef
     generators plus the mixed divisors in T."""
-    return (_factor_nef_vectors(s, 1, budget) + _factor_nef_vectors(s, 2, budget)
-            + t_divisors(s))
+    return factor_nef_vectors(s, 1) + factor_nef_vectors(s, 2) + t_divisors(s)
 
 
-def claimed_nef_vectors_light(s: Scenario) -> tuple[NamedVector, ...]:
-    """The cheap part of the claimed generators: first-factor nef pullbacks
-    and T, skipping the second factor's nef generators."""
-    return _factor_nef_vectors(s, 1) + t_divisors(s)
-
-
-def nef_generators_claimed(s: Scenario,
-                           budget: Optional[Budget] = None) -> PolyCone:
-    return generated(s.rho,
-                     [nv.vector for nv in claimed_nef_vectors(s, budget)])
+def nef_generators_claimed(s: Scenario) -> PolyCone:
+    return generated(s.rho, [nv.vector for nv in claimed_nef_vectors(s)])
 
 
 # ---------------------------------------------------------------------------
 # theorem verification
 # ---------------------------------------------------------------------------
 
-CONTAINMENT_EXPLICIT = "explicit pairings"
-CONTAINMENT_FACTOR = "explicit pairings + factor-block reduction"
 EQ_EQUAL = "equal"
 EQ_UNEQUAL = "unequal"
-EQ_GATED = "budget exceeded, containment only"
-
-# Second factors whose cone equality is attempted only under a budget: the
-# dP8 nef cone alone has 19440 rays.
-HEAVY_R2 = (8,)
-
-
-def env_budget_seconds() -> Optional[float]:
-    """The time budget named by ``$MORICONE_BUDGET_SECONDS``, if set."""
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return float(env) if env else None
 
 
 @dataclass(frozen=True)
@@ -308,7 +280,6 @@ class TheoremVerdict:
     r1: int
     r2: int
     containment_ok: bool
-    containment_mode: str
     containment_witness: Optional[dict]
     equality_status: str
     equality_witness: Optional[dict]
@@ -327,73 +298,99 @@ def _containment_explicit(ne_curves, claimed) -> Optional[dict]:
     return None
 
 
-def _factor_block_witness(s: Scenario) -> Optional[dict]:
-    """Checks that the catalog is block-structured so that nefness of any
-    second-factor divisor class transfers to its pullback: lifted curves pair
-    with second-factor slots exactly by the surface pairing and with nothing
-    else; all other generators avoid the second-factor slots entirely."""
-    slots2 = [s.idx_h2] + [s.idx_e2(j) for j in range(1, s.r2 + 1)]
-    lattice2 = delpezzo.build(s.r2)
-    minus_one = set(delpezzo.minus_one_classes(lattice2))
+def _block_split(s: Scenario) -> tuple[Optional[dict], Optional[dict], list]:
+    """Split the curve generators along the second factor.
+
+    Returns ``(lift_witness, unlifted_witness, reduced)``.  Every
+    second-factor curve must be the lift of a distinct NE(S2) generator c:
+    the surface pairing row of c on the H2/E2 slots, the degree of c on E and
+    zero elsewhere.  Every other curve must be zero on the H2/E2 slots; it is
+    kept in ``reduced`` with those slots dropped.  ``lift_witness`` names the
+    first curve that breaks this, ``unlifted_witness`` an NE(S2) generator
+    that no curve lifts.
+    """
+    unlifted = set(delpezzo.ne_generators(s.lattice2))
+    reduced = []
     for c in s.ne_curves():
-        if c.factor == 2:
-            if c.factor_class not in minus_one:
-                return {"curve": c.name, "reason": "unknown factor class"}
-            row = delpezzo.pairing_row(c.factor_class)
-            expected = [0] * s.rho
-            for pos, val in zip(slots2, row):
-                expected[pos] = val
-            expected[s.idx_e] = c.factor_class[0]
-            if tuple(expected) != c.vector:
-                return {"curve": c.name, "reason": "lift rule violated"}
-        else:
-            if any(c.vector[pos] != 0 for pos in slots2):
-                return {"curve": c.name,
-                        "reason": "nonzero second-factor component"}
-    return None
+        if c.factor != 2:
+            if any(c.vector[s.idx_h2:s.idx_e]):
+                return ({"curve": c.name,
+                         "reason": "nonzero second-factor component"}, None, [])
+            reduced.append(c.vector[:s.idx_h2] + c.vector[s.idx_e:])
+            continue
+        if c.factor_class not in unlifted:
+            return ({"curve": c.name,
+                     "reason": "not an NE(S2) generator, or lifted twice"}, None, [])
+        unlifted.remove(c.factor_class)
+        lift = list(_embed_factor(s, 2, delpezzo.pairing_row(c.factor_class)))
+        lift[s.idx_e] = c.factor_class[0]
+        if tuple(lift) != c.vector:
+            return {"curve": c.name, "reason": "lift rule violated"}, None, []
+    if unlifted:
+        return None, {"factor_class": min(unlifted),
+                      "reason": "NE(S2) generator not lifted"}, reduced
+    return None, None, reduced
 
 
-def verify_theorem(s: Scenario, budget: Optional[Budget] = None) -> TheoremVerdict:
-    """Containment (always exact) and equality of the claimed nef cone with
-    the dual of the claimed cone of curves (exact for r2 not in
-    ``HEAVY_R2``; budget-gated there)."""
-    ne_curves = s.ne_curves()
-    if s.r2 not in HEAVY_R2:
-        claimed = claimed_nef_vectors(s, budget)
-        witness = _containment_explicit(ne_curves, claimed)
-        return TheoremVerdict(s.r1, s.r2, witness is None,
-                              CONTAINMENT_EXPLICIT, witness,
-                              *_equality(s, claimed, budget))
+def verify_theorem(s: Scenario) -> TheoremVerdict:
+    """Prove that the claimed nef cone equals the dual of the claimed cone of
+    curves, or report a witness.
 
-    witness = (_containment_explicit(ne_curves, claimed_nef_vectors_light(s))
-               or _factor_block_witness(s))
-    gated = TheoremVerdict(s.r1, s.r2, witness is None, CONTAINMENT_FACTOR,
-                           witness, EQ_GATED, None)
-    if budget is None:
-        seconds = env_budget_seconds()
-        if seconds is None:
-            return gated
-        budget = Budget(max_seconds=seconds)
-    try:
-        equality = _equality(s, claimed_nef_vectors(s, budget), budget)
-    except BudgetExceededError:
-        return gated
-    return TheoremVerdict(s.r1, s.r2, witness is None, CONTAINMENT_FACTOR,
-                          witness, *equality)
+    Write a divisor by blocks as (A1, A2, x_E, x_F), A1 on the H1/E1 slots
+    and A2 on the H2/E2 slots, and change coordinates by A2' = A2 + x_E H2,
+    which is unimodular.  When :func:`_block_split` holds, the lift of an
+    NE(S2) generator c pairs with the divisor as the surface pairing A2'.c
+    (its E entry is the degree of c), and every other curve pairs with
+    (A1, x_E, x_F) alone.  Hence Nef(X) = Nef(S2) x P, where P is the dual of
+    the reduced curves in the r1 + 3 coordinates (A1, x_E, x_F).
+
+    The claim splits the same way.  The second-factor pullbacks are
+    Nef(S2) x 0 by construction, and they pair with every curve by the
+    surface pairing or by 0, so they are nef.  The first-factor pullbacks and
+    T have A2' = 0; their nefness is checked by explicit pairings, and their
+    projections generate a cone Q.  So Nef(X) equals the claimed cone exactly
+    when P = Q, and ``cones_equal`` decides that with a witness ray on
+    (r1 + 3)-dimensional cones.  The second factor is never dualised.
+
+    A curve that breaks the block split is a containment witness, since the
+    second-factor pullbacks are then not shown nef; as the proof does not
+    apply, it is also the witness of ``unequal``.  An NE(S2) generator with
+    no lift leaves the second block of dual(NE) larger than Nef(S2), and a
+    claimed divisor outside the first block does not project; both are
+    reported ``unequal``.  A ray of P not in Q, or of Q not in P, is reported
+    in full coordinates: A2' = 0 puts minus its E entry on H2.
+    """
+    first = factor_nef_vectors(s, 1) + t_divisors(s)
+    lift_witness, unlifted, reduced = _block_split(s)
+    witness = _containment_explicit(s.ne_curves(), first) or lift_witness
+    if lift_witness or unlifted:
+        equality = EQ_UNEQUAL, lift_witness or unlifted
+    else:
+        equality = _equality(s, first, reduced)
+    return TheoremVerdict(s.r1, s.r2, witness is None, witness, *equality)
 
 
-def _equality(s: Scenario, claimed: Sequence[NamedVector],
-              budget: Optional[Budget]):
-    """Compare dual(NE) with the cone of the claimed generators.  Both list
-    primitive rays, so when the claim is exactly the extremal rays of the
-    dual the comparison needs no LP."""
-    verdict = cones_equal(dual(ne_generators(s), budget),
-                          generated(s.rho, [nv.vector for nv in claimed]))
+def _equality(s: Scenario, first: Sequence[NamedVector], reduced):
+    """Compare P = dual(reduced curves) with the cone of the projected
+    first-block claims.  Both list primitive rays, so when the claim is
+    exactly the extremal rays of P the comparison needs no LP."""
+    projected = []
+    for nv in first:
+        v = nv.vector
+        if v[s.idx_h2] + v[s.idx_e] or any(v[s.idx_h2 + 1:s.idx_e]):
+            return EQ_UNEQUAL, {"divisor": nv.name,
+                                "reason": "outside the first block"}
+        projected.append(v[:s.idx_h2] + v[s.idx_e:])
+    dim = s.r1 + 3
+    verdict = cones_equal(dual(generated(dim, reduced)),
+                          generated(dim, projected))
     if verdict.equal:
         return EQ_EQUAL, None
+    z = verdict.witness_ray
+    ray = z[:s.idx_h2] + (-z[s.idx_h2],) + (0,) * s.r2 + z[s.idx_h2:]
     side = ("dual of the curve cone" if verdict.witness_side == "first-not-in-second"
             else "claimed nef cone")
-    return EQ_UNEQUAL, {"ray": verdict.witness_ray, "only_in": side}
+    return EQ_UNEQUAL, {"ray": ray, "only_in": side}
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +493,8 @@ def not_fano_type_refutation(s: Scenario) -> RefutationResult:
     result = lp_feasible(lp)
     if result.feasible:
         raise AssertionError("refutation system unexpectedly feasible")
-    assert check_infeasibility_certificate(lp, result.certificate)
+    if not check_infeasibility_certificate(lp, result.certificate):
+        raise AssertionError("refutation certificate does not check")
     relaxed = lp_feasible(refutation_system(relaxed=True))
     if not relaxed.feasible:
         raise AssertionError("relaxed system unexpectedly infeasible")
@@ -638,11 +636,10 @@ def t_divisor_certificates(s: Scenario) -> dict[str, ProductCertificates]:
     return out
 
 
-def t_certificates_agree_with_membership(s: Scenario,
-                                         budget: Optional[Budget] = None) -> dict[str, dict]:
+def t_certificates_agree_with_membership(s: Scenario) -> dict[str, dict]:
     """Cross-validation: for each divisor in T, nefness by membership in the
     dual of the curve cone must agree with the product-certificate verdict."""
-    nef = dual(ne_generators(s), budget)
+    nef = dual(ne_generators(s))
     results = {}
     for n1 in t1_divisors(s):
         built = build_product_certificates(*factor_grids_for_t1(s, n1))

@@ -1,17 +1,23 @@
 """Tests for the command-line front end: exit codes, report schema,
 determinism, and witness presence on refutation."""
 
+import ast
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import moricone
+from moricone import delpezzo
+from moricone import scenario as sc
 from moricone.certificates import (build_product_certificates,
                                    certificate_to_dict, tsukioka_factors)
-from moricone.cli import EXIT_ERROR, EXIT_REFUTED, EXIT_VERIFIED, jsonable, run
+from moricone.cli import (EXIT_ERROR, EXIT_INTERNAL, EXIT_REFUTED,
+                          EXIT_VERIFIED, jsonable, run)
 
 
 def capture(argv):
@@ -143,7 +149,26 @@ def test_scenario_gated_tier_report():
     assert code == EXIT_VERIFIED
     doc = json.loads(out)
     assert doc["verdicts"]["containment"] == "verified"
-    assert doc["verdicts"]["equality"] == "budget exceeded, containment only"
+    assert doc["verdicts"]["equality"] == "equal"
+
+
+def test_scenario_r2_8_never_dualises_second_factor(monkeypatch):
+    dims = []
+    for module in (sc, delpezzo):
+        def recording(cone, real=module.dual):
+            dims.append(cone.dim)
+            return real(cone)
+        monkeypatch.setattr(module, "dual", recording)
+    code, out = capture(["dp", "scenario", "--r1", "3", "--r2", "8",
+                         "--verify-cones", "--json"])
+    assert code == EXIT_VERIFIED
+    doc = json.loads(out)
+    assert doc["verdicts"]["equality"] == "equal"
+    names = [g["name"] for g in doc["nef_generators"]]
+    assert len(names) == 5 + 10   # dP3 nef rays and T
+    assert not any(n.startswith("nef2_") for n in names)
+    # dP8 has rank 9; the largest dual is the (r1 + 3)-dimensional block.
+    assert dims and max(dims) == 3 + 3
 
 
 def test_determinism_modulo_timing():
@@ -175,6 +200,29 @@ def test_minus_one_counts_via_cli():
         code, out = capture(["dp", "minus-one", "--r", str(r)])
         assert code == EXIT_VERIFIED
         assert out.startswith(f"{n} classes")
+
+
+# ---------------------------------------------------------------------------
+# internal failures
+# ---------------------------------------------------------------------------
+
+def test_internal_error_is_not_a_refutation(monkeypatch, capsys):
+    def broken(s):
+        raise AssertionError("double description produced an invalid ray")
+    monkeypatch.setattr(sc, "verify_theorem", broken)
+    code = run(["dp", "scenario", "--r1", "0", "--r2", "0", "--verify-cones"])
+    assert code == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid ray" in captured.err
+
+
+def test_no_assert_statements_guard_verdicts():
+    # python -O strips assert statements, so every guard must raise.
+    for path in sorted(Path(moricone.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), \
+            path.name
 
 
 # ---------------------------------------------------------------------------

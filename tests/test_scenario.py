@@ -1,7 +1,7 @@
 """Tests for the del Pezzo product scenario: curve catalogs, cone duality,
 classification, the log-Fano refutation, and the mixed-divisor certificates."""
 
-import os
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from moricone import delpezzo
 from moricone import scenario as sc
 from moricone.certificates import verify_HE_hypotheses, verify_HEF_hypotheses
-from moricone.cones import (Budget, check_infeasibility_certificate,
+from moricone.cones import (check_infeasibility_certificate,
                             cone_from_rays, cones_equal, contains, dual,
                             lp_feasible)
 
@@ -151,28 +151,79 @@ def test_theorem_mutilated_claim_is_refuted():
 
 
 def test_theorem_gated_without_budget():
+    # r2 = 8 needs no budget: the block split never dualises the dP8 factor
     v = sc.verify_theorem(sc.build_scenario(0, 8))
     assert v.containment_ok
-    assert v.containment_mode == sc.CONTAINMENT_FACTOR
-    assert v.equality_status == sc.EQ_GATED
+    assert v.equality_status == sc.EQ_EQUAL
     assert v.ok
 
 
-def test_theorem_gated_budget_exhausts():
-    v = sc.verify_theorem(sc.build_scenario(0, 8),
-                          budget=Budget(max_seconds=0.5))
-    assert v.containment_ok
-    assert v.equality_status == sc.EQ_GATED
-
-
-def test_theorem_env_budget(monkeypatch):
-    monkeypatch.setenv(sc.BUDGET_ENV_VAR, "0.5")
-    v = sc.verify_theorem(sc.build_scenario(0, 8))
-    assert v.equality_status == sc.EQ_GATED
-
-
 def test_factor_block_witness_clean():
-    assert sc._factor_block_witness(sc.build_scenario(3, 8)) is None
+    for r1 in range(4):
+        for r2 in range(9):
+            s = sc.build_scenario(r1, r2)
+            lift_witness, unlifted, reduced = sc._block_split(s)
+            assert (lift_witness, unlifted) == (None, None), (r1, r2)
+            assert len(reduced) == sum(c.factor != 2 for c in s.ne_curves())
+            assert all(len(v) == r1 + 3 for v in reduced)
+
+
+@pytest.mark.parametrize("r1", range(4))
+@pytest.mark.parametrize("r2", range(8))
+def test_block_proof_matches_full_dual(r1, r2):
+    # The full-space double description is the reference for the block
+    # proof: it must list exactly the claimed generators of both factors.
+    s = sc.build_scenario(r1, r2)
+    assert dual(sc.ne_generators(s)).rays == sc.nef_generators_claimed(s).rays
+
+
+@pytest.mark.parametrize("r1,r2", [(0, 2), (3, 8)])
+def test_theorem_dropped_t_divisor_is_refuted(monkeypatch, r1, r2):
+    s = sc.build_scenario(r1, r2)
+    full = sc.t_divisors(s)
+    monkeypatch.setattr(sc, "t_divisors", lambda s: full[1:])
+    v = sc.verify_theorem(s)
+    assert v.containment_ok
+    assert v.equality_status == sc.EQ_UNEQUAL
+    ray = v.equality_witness["ray"]
+    assert v.equality_witness["only_in"] == "dual of the curve cone"
+    assert len(ray) == s.rho
+    assert ray == full[0].vector
+    assert all(sc.pairing(ray, c.vector) >= 0 for c in s.ne_curves())
+
+
+def _with_curves(s, curves):
+    return dataclasses.replace(s, curves=tuple(curves))
+
+
+@pytest.mark.parametrize("r1,r2", [(1, 3), (2, 8)])
+def test_theorem_unlifted_generator_is_refuted(r1, r2):
+    s = sc.build_scenario(r1, r2)
+    dropped = s.curve("e2_1")
+    v = sc.verify_theorem(_with_curves(
+        s, (c for c in s.curves if c.name != "e2_1")))
+    assert v.containment_ok
+    assert v.equality_status == sc.EQ_UNEQUAL
+    assert v.equality_witness == {"factor_class": dropped.factor_class,
+                                  "reason": "NE(S2) generator not lifted"}
+
+
+@pytest.mark.parametrize("r1,r2", [(1, 3), (2, 8)])
+def test_theorem_broken_lift_is_refuted(r1, r2):
+    s = sc.build_scenario(r1, r2)
+    bent = []
+    for c in s.curves:
+        if c.name == "e2_1":
+            v = list(c.vector)
+            v[s.idx_e2(1)] += 1   # first-block claims are zero there
+            c = dataclasses.replace(c, vector=tuple(v))
+        bent.append(c)
+    v = sc.verify_theorem(_with_curves(s, bent))
+    assert not v.containment_ok
+    assert v.containment_witness == {"curve": "e2_1",
+                                     "reason": "lift rule violated"}
+    assert v.equality_status == sc.EQ_UNEQUAL
+    assert not v.ok
 
 
 # ---------------------------------------------------------------------------
