@@ -23,8 +23,6 @@ All arithmetic is exact (ints and fractions); nothing is ever rounded.
 __version__ = "0.1.0"
 
 from .cones import (  # noqa: F401
-    Budget,
-    BudgetExceededError,
     ConeError,
     DimensionMismatchError,
     LinealityError,

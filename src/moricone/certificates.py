@@ -30,10 +30,6 @@ class CertificateError(Exception):
     """Structurally invalid certificate (shapes, missing data, broken maps)."""
 
 
-def _fr(x: Number) -> Fraction:
-    return Fraction(x)
-
-
 def _vec(v: Iterable[Number]) -> Vec:
     return tuple(Fraction(x) for x in v)
 
@@ -406,15 +402,6 @@ def identity_matrix(n: int) -> Mat:
                        for j in range(n)) for i in range(n))
 
 
-def _factor_cell(g: GridCertificate, i: int, j: int) -> GridCell:
-    return g.cells[(i, j)]
-
-
-def _grid_values(g: GridCertificate) -> dict[tuple[int, int], Vec]:
-    values, _ = _propagate_grid(g)
-    return values
-
-
 def _condition_root_nef(g: GridCertificate) -> Optional[CheckRecord]:
     """Nefness of the factor divisor on the factor's root stratum; None means
     the condition holds, otherwise the failing check is returned."""
@@ -426,7 +413,7 @@ def _condition_root_nef(g: GridCertificate) -> Optional[CheckRecord]:
 
 def _condition_A_chain(g: GridCertificate) -> Optional[CheckRecord]:
     """Single-difference nefness down the factor's A-chain edge."""
-    values = _grid_values(g)
+    values, _ = _propagate_grid(g)
     for x in range(g.c, g.a):
         cell = g.cells[(x, g.c)]
         rec = _run_check(cell.stratum,
@@ -439,7 +426,7 @@ def _condition_A_chain(g: GridCertificate) -> Optional[CheckRecord]:
 
 def _condition_B_chain(g: GridCertificate) -> Optional[CheckRecord]:
     """Single-difference nefness along the factor's B-chain edge."""
-    values = _grid_values(g)
+    values, _ = _propagate_grid(g)
     for y in range(g.c, g.b):
         cell = g.cells[(g.c, y)]
         rec = _run_check(cell.stratum,
@@ -552,8 +539,8 @@ def build_product_certificates(
         for j in range(c, b + 1):
             x1, x2 = aidx[0](i), aidx[1](i)
             y1, y2 = bidx[0](j), bidx[1](j)
-            cell1 = _factor_cell(f1, x1, y1)
-            cell2 = _factor_cell(f2, x2, y2)
+            cell1 = f1.cells[(x1, y1)]
+            cell2 = f2.cells[(x2, y2)]
             s1, s2 = cell1.stratum, cell2.stratum
             right_class = right_map = down_class = down_map = None
             if i < a:
@@ -654,6 +641,12 @@ def _num_in(x) -> Fraction:
         raise CertificateError(f"not an exact rational: {x!r}") from exc
 
 
+def _int_in(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise CertificateError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _vec_out(v: Vec):
     return [_num_out(x) for x in v]
 
@@ -682,7 +675,7 @@ def _step_out(s: ChainStep) -> dict:
 
 
 def _step_in(d: dict, index: int) -> ChainStep:
-    stratum = Stratum(id=d.get("id", f"step{index}"), rank=d["rank"],
+    stratum = Stratum(id=d.get("id", f"step{index}"), rank=_int_in(d["rank"]),
                       oracle_curves=_mat_in(d.get("oracle_curves", [])))
     nxt = d.get("next_class")
     return ChainStep(child=stratum, restriction=_mat_in(d["restriction"]),
@@ -740,16 +733,16 @@ def certificate_from_dict(data: dict) -> Union[ChainCertificate, GridCertificate
 def _certificate_from_dict(data, kind):
     if kind == "chain":
         return ChainCertificate(
-            root_rank=data["root_rank"],
+            root_rank=_int_in(data["root_rank"]),
             steps=tuple(_step_in(s, k) for k, s in enumerate(data["steps"])),
             divisor=_vec_in(data["divisor"]))
     if kind == "grid":
         cells = {}
         for entry in data["cells"]:
             stratum = Stratum(id=entry.get("id", f"cell({entry['i']},{entry['j']})"),
-                              rank=entry["rank"],
+                              rank=_int_in(entry["rank"]),
                               oracle_curves=_mat_in(entry.get("oracle_curves", [])))
-            cells[(entry["i"], entry["j"])] = GridCell(
+            cells[(_int_in(entry["i"]), _int_in(entry["j"]))] = GridCell(
                 stratum=stratum,
                 right_class=None if entry.get("right_class") is None
                 else _vec_in(entry["right_class"]),
@@ -760,8 +753,8 @@ def _certificate_from_dict(data, kind):
                 down_map=None if entry.get("down_map") is None
                 else _mat_in(entry["down_map"]))
         return GridCertificate(
-            a=data["a"], b=data["b"], c=data["c"],
-            root_rank=data["root_rank"],
+            a=_int_in(data["a"]), b=_int_in(data["b"]), c=_int_in(data["c"]),
+            root_rank=_int_in(data["root_rank"]),
             outer=tuple(_step_in(s, k) for k, s in enumerate(data["outer"])),
             cells=cells,
             divisor=_vec_in(data["divisor"]))

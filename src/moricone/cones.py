@@ -11,13 +11,15 @@ Conventions
 * Every answer that is not a plain boolean carries a certificate that can be
   re-checked independently: a nonnegative combination, a separating
   functional, or an infeasibility combination.
+* One exact LP engine serves everything: a phase-1 simplex with Bland's
+  rule.  Membership, pointedness and pruning call it directly, and
+  :func:`lp_feasible` reduces a system of ``>=``, ``>`` and ``=`` rows to it.
 
 All arithmetic uses Python ints and ``fractions.Fraction``; no floats.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -49,28 +51,6 @@ class LinealityError(ConeError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class BudgetExceededError(ConeError):
-    """Dualization ran out of its ray or time budget.
-
-    This is a resource report, never a wrong answer: no partial cone is
-    returned.
-    """
-
-    def __init__(self, message: str, kind: str, rays_so_far: int, constraints_done: int):
-        super().__init__(message)
-        self.kind = kind
-        self.rays_so_far = rays_so_far
-        self.constraints_done = constraints_done
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Optional resource limits for dualization."""
-
-    max_rays: Optional[int] = None
-    max_seconds: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +141,14 @@ def generated(dim: int, vectors: Iterable[Sequence[Number]]) -> PolyCone:
     return PolyCone(dim, tuple(sorted(cleaned)), canonical=False)
 
 
-def cone_from_rays(dim: int, rays: Iterable[Sequence[Number]],
-                   budget: Optional[Budget] = None) -> PolyCone:
+def cone_from_rays(dim: int, rays: Iterable[Sequence[Number]]) -> PolyCone:
     """Canonicalize a generating set: :func:`generated`, then remove
     redundant generators.
 
     Raises :class:`DimensionMismatchError` if some ray has the wrong length
     and :class:`LinealityError` if the generated cone contains a line (the
-    canonical extremal-ray form then does not exist).  A time budget, when
-    given, bounds the extremality sweep (each pruning step is an exact LP).
+    canonical extremal-ray form then does not exist).
     """
-    deadline = None
-    if budget is not None and budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
     keep = list(generated(dim, rays).rays)
     if not keep:
         return PolyCone(dim, ())
@@ -194,10 +169,6 @@ def cone_from_rays(dim: int, rays: Iterable[Sequence[Number]],
     # never changes anyone else's status — one sweep suffices.
     i = 0
     while i < len(keep):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                f"time budget exhausted pruning generator {i} of {len(keep)}",
-                kind="seconds", rays_so_far=len(keep), constraints_done=i)
         others = keep[:i] + keep[i + 1:]
         if others:
             member, _, _ = _phase1_simplex(others, keep[i])
@@ -273,7 +244,7 @@ def cones_equal(a: PolyCone, b: PolyCone) -> EqualityVerdict:
 # dualization (double description)
 # ---------------------------------------------------------------------------
 
-def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
+def dual(cone: PolyCone) -> PolyCone:
     """Dual cone ``{u : <u, g> >= 0 for all generators g}``.
 
     Requires the generators to span the ambient space (otherwise the dual
@@ -284,8 +255,7 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
 
     The result is deterministic: constraints are inserted in a fixed order
     (a greedy lexicographic basis first, the rest in lexicographic order) and
-    the output is canonically sorted.  With a :class:`Budget`, exhaustion
-    raises :class:`BudgetExceededError` — never a truncated answer.
+    the output is canonically sorted.
     """
     d = cone.dim
     if d == 0:
@@ -300,13 +270,6 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
         raise LinealityError(
             "generators do not span the space; the dual contains a line",
             witness=kern)
-
-    deadline = None
-    max_rays = None
-    if budget is not None:
-        if budget.max_seconds is not None:
-            deadline = time.monotonic() + budget.max_seconds
-        max_rays = budget.max_rays
 
     in_basis = set(basis_idx)
     rest_idx = [i for i in range(len(rows)) if i not in in_basis]
@@ -323,11 +286,6 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
 
     processed = d
     for idx in rest_idx:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                f"time budget exhausted after {processed} constraints",
-                kind="seconds", rays_so_far=len(rays_cur),
-                constraints_done=processed)
         a = rows[idx]
         svals = [_idot(a, r) for r in rays_cur]
         neg = [k for k, s in enumerate(svals) if s < 0]
@@ -343,19 +301,11 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
         bit = 1 << processed
         new_rays: list[IntVector] = []
         new_masks: list[int] = []
-        pair_count = 0
         for kp in pos:
             mp = masks[kp]
             sp = svals[kp]
             p = rays_cur[kp]
             for kn in neg:
-                pair_count += 1
-                if deadline is not None and pair_count % 1024 == 0 \
-                        and time.monotonic() > deadline:
-                    raise BudgetExceededError(
-                        f"time budget exhausted inside constraint {processed}",
-                        kind="seconds", rays_so_far=len(rays_cur),
-                        constraints_done=processed)
                 z = mp & masks[kn]
                 if z.bit_count() < d - 2:
                     continue
@@ -366,18 +316,10 @@ def dual(cone: PolyCone, budget: Optional[Budget] = None) -> PolyCone:
                 vec = tuple(sp * n[i] - sn * p[i] for i in range(d))
                 new_rays.append(_reduce_int(vec))
                 new_masks.append(z | bit)
-        next_rays = [rays_cur[k] for k in pos] + [rays_cur[k] for k in zer] + new_rays
-        next_masks = ([masks[k] for k in pos]
-                      + [masks[k] | bit for k in zer]
-                      + new_masks)
-        if max_rays is not None and len(next_rays) > max_rays:
-            raise BudgetExceededError(
-                f"ray budget exhausted at constraint {processed} "
-                f"({len(next_rays)} rays)",
-                kind="rays", rays_so_far=len(next_rays),
-                constraints_done=processed)
-        rays_cur = next_rays
-        masks = next_masks
+        rays_cur = [rays_cur[k] for k in pos] + [rays_cur[k] for k in zer] + new_rays
+        masks = ([masks[k] for k in pos]
+                 + [masks[k] | bit for k in zer]
+                 + new_masks)
         processed += 1
 
     out = sorted(set(rays_cur))
@@ -646,131 +588,45 @@ def check_infeasibility_certificate(lp: LinearProgram,
 
 
 def lp_feasible(lp: LinearProgram) -> LPResult:
-    """Exact feasibility by Fourier–Motzkin elimination.
+    """Exact feasibility by one phase-1 simplex on the homogenised system.
 
-    Strict inequalities are handled through an auxiliary slack ``eps``: each
-    ``a . x > b`` becomes ``a . x - eps >= b`` and the achievable supremum of
-    ``eps`` is computed exactly after eliminating the real variables; the
-    system is feasible iff that supremum is positive.  Each derived row keeps
-    its provenance (multipliers over the input constraints), which becomes
-    the infeasibility certificate.
+    With a scale ``t`` and one slack ``w >= 0`` per inequality, ``a . x >= b``
+    becomes ``a . x - b t - w = 0``, ``a . x = b`` becomes ``a . x - b t = 0``
+    and ``a . x > b`` becomes ``a . x - b t - w = 1``; one more row asks
+    ``t >= 1`` when some row is strict and ``t = 1`` otherwise.  Free ``x`` is
+    split as ``x+ - x-``.  A solution gives the point ``x / t``; otherwise the
+    simplex dual row restricted to the input rows is the Farkas certificate
+    of :func:`check_infeasibility_certificate`.  Both answers are re-checked
+    against the original constraints before they are returned.
     """
-    # rows: (a: list over vars, e: eps coefficient, b, prov: dict idx->weight)
-    rows: list[tuple[list[Fraction], Fraction, Fraction, dict[int, Fraction]]] = []
-    for i, c in enumerate(lp.constraints):
-        a = list(c.coeffs)
-        if c.relation == ">=":
-            rows.append((a, Fraction(0), c.bound, {i: Fraction(1)}))
-        elif c.relation == ">":
-            rows.append((a, Fraction(-1), c.bound, {i: Fraction(1)}))
-        else:  # "="
-            rows.append((list(a), Fraction(0), c.bound, {i: Fraction(1)}))
-            rows.append(([-x for x in a], Fraction(0), -c.bound, {i: Fraction(-1)}))
-
-    stack = []  # per eliminated variable: (var, lower_rows, upper_rows)
-    for var in range(lp.nvars):
-        lowers = [r for r in rows if r[0][var] > 0]
-        uppers = [r for r in rows if r[0][var] < 0]
-        passthrough = [r for r in rows if r[0][var] == 0]
-        stack.append((var, lowers, uppers))
-        combined = []
-        for al, el, bl, pl in lowers:
-            cl = al[var]
-            for au, eu, bu, pu in uppers:
-                cu = -au[var]
-                # cu * lower + cl * upper eliminates the variable
-                a = [cu * x + cl * y for x, y in zip(al, au)]
-                e = cu * el + cl * eu
-                bb = cu * bl + cl * bu
-                prov = dict((k, cu * w) for k, w in pl.items())
-                for k, w in pu.items():
-                    prov[k] = prov.get(k, Fraction(0)) + cl * w
-                combined.append(_normalize_row(a, e, bb, prov))
-        rows = passthrough + combined
-
-    # Only eps remains.  All eps coefficients are <= 0 by construction.
-    upper = None  # tightest upper bound on eps
-    upper_prov = None
-    for a, e, bb, prov in rows:
-        if any(a):
-            raise AssertionError("Fourier-Motzkin left a variable uneliminated")
-        if e == 0:
-            if bb > 0:
-                return _infeasible(lp, prov)
-        else:  # e < 0:  e * eps >= bb  =>  eps <= bb / e
-            bound = bb / e
-            if upper is None or bound < upper:
-                upper = bound
-                upper_prov = prov
-
+    n, m = lp.nvars, len(lp.constraints)
     has_strict = any(c.relation == ">" for c in lp.constraints)
-    if has_strict and upper is not None and upper <= 0:
-        return _infeasible(lp, upper_prov)
+    d = m + 1  # the input rows, then the scale row
+    columns: list[list[Fraction]] = []
+    for k in range(n):
+        col = [c.coeffs[k] for c in lp.constraints] + [Fraction(0)]
+        columns.append(col)
+        columns.append([-x for x in col])
+    columns.append([-c.bound for c in lp.constraints] + [Fraction(1)])
+    for i, c in enumerate(lp.constraints):
+        if c.relation != "=":
+            columns.append([Fraction(-1) if r == i else Fraction(0)
+                            for r in range(d)])
+    if has_strict:
+        columns.append([Fraction(0)] * m + [Fraction(-1)])
+    target = [1 if c.relation == ">" else 0 for c in lp.constraints] + [1]
 
-    if not has_strict:
-        eps_star = Fraction(0)
-    elif upper is None:
-        eps_star = Fraction(1)
-    else:
-        eps_star = upper / 2
-
-    # Back-substitute a point.
-    point = [Fraction(0)] * lp.nvars
-    for var, lowers, uppers in reversed(stack):
-        lo = None
-        hi = None
-        for a, e, bb, _ in lowers:
-            val = (bb - e * eps_star
-                   - sum(a[k] * point[k] for k in range(lp.nvars) if k != var))
-            val /= a[var]
-            if lo is None or val > lo:
-                lo = val
-        for a, e, bb, _ in uppers:
-            val = (bb - e * eps_star
-                   - sum(a[k] * point[k] for k in range(lp.nvars) if k != var))
-            val /= a[var]
-            if hi is None or val < hi:
-                hi = val
-        if lo is None and hi is None:
-            point[var] = Fraction(0)
-        elif lo is None:
-            point[var] = hi
-        elif hi is None:
-            point[var] = lo
-        else:
-            if lo > hi:
-                raise AssertionError(
-                    "Fourier-Motzkin back-substitution inconsistency")
-            point[var] = (lo + hi) / 2
-
-    pt = tuple(point)
+    feasible, lam, y = _phase1_simplex(columns, target)
+    if not feasible:
+        cert = tuple(y[:m])
+        if not check_infeasibility_certificate(lp, cert):
+            raise AssertionError("simplex produced an invalid certificate")
+        return LPResult(False, certificate=cert)
+    t = lam[2 * n]
+    pt = tuple((lam[2 * k] - lam[2 * k + 1]) / t for k in range(n))
     for c in lp.constraints:
         val = dot(c.coeffs, pt)
         if not {">=": val >= c.bound, ">": val > c.bound,
                 "=": val == c.bound}[c.relation]:
-            raise AssertionError("Fourier-Motzkin point violates a constraint")
+            raise AssertionError("simplex point violates a constraint")
     return LPResult(True, point=pt)
-
-
-def _normalize_row(a, e, b, prov):
-    g = 0
-    for x in a + [e, b]:
-        g = gcd(g, abs(x.numerator))
-    # Only rescale when everything is integral and shares a factor; keeping
-    # provenance consistent just means dividing the weights too.
-    if g > 1 and all(x.denominator == 1 for x in a + [e, b]):
-        a = [x / g for x in a]
-        e = e / g
-        b = b / g
-        prov = {k: w / g for k, w in prov.items()}
-    return (a, e, b, prov)
-
-
-def _infeasible(lp: LinearProgram, prov: dict[int, Fraction]) -> LPResult:
-    mu = [Fraction(0)] * len(lp.constraints)
-    for k, w in prov.items():
-        mu[k] += w
-    cert = tuple(mu)
-    if not check_infeasibility_certificate(lp, cert):
-        raise AssertionError("Fourier-Motzkin produced an invalid certificate")
-    return LPResult(False, certificate=cert)

@@ -15,6 +15,7 @@ refutation) can be verified with the exact cone engine.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -489,6 +490,12 @@ def not_fano_type_refutation(s: Scenario) -> RefutationResult:
     if s.r2 < 2:
         raise ValueError("the refutation applies only when the second factor "
                          "is blown up at two or more points")
+    return _refutation()
+
+
+@functools.cache
+def _refutation() -> RefutationResult:
+    """The refutation system does not depend on the scenario: solve it once."""
     lp = refutation_system()
     result = lp_feasible(lp)
     if result.feasible:

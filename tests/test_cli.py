@@ -4,12 +4,15 @@ determinism, and witness presence on refutation."""
 import ast
 import io
 import json
+import os
 import subprocess
+import tempfile
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import moricone
 from moricone import delpezzo
@@ -113,6 +116,70 @@ def test_cert_verify_boolean_entry_is_input_error(tmp_path):
     assert doc["steps"][0]["restriction"][0][0] == 1
     doc["steps"][0]["restriction"][0][0] = True
     assert _verify_doc(tmp_path, doc) == EXIT_ERROR
+
+
+_DELETE = object()
+_JUNK = (None, True, 1.5, "1/0", [], {}, 10**30, -10**30, _DELETE)
+_SHIPPED = sorted((Path(__file__).resolve().parents[1] / "certs").glob("*.json"))
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict) and node:
+        for k, v in node.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(node, list) and node:
+        for k, v in enumerate(node):
+            yield from _leaf_paths(v, path + (k,))
+    else:
+        yield path
+
+
+def _parent(doc, path):
+    for k in path[:-1]:
+        doc = doc[k]
+    return doc
+
+
+def _set_at(doc, path, value):
+    if value is _DELETE:
+        del _parent(doc, path)[path[-1]]
+    else:
+        _parent(doc, path)[path[-1]] = value
+
+
+@pytest.mark.parametrize("mutate", [lambda v: True, float],
+                         ids=["boolean", "float"])
+def test_cert_verify_non_integer_field_is_input_error(tmp_path, mutate,
+                                                      shipped_cert_paths):
+    int_fields = {"root_rank", "rank", "a", "b", "c", "i", "j"}
+    for path in shipped_cert_paths:
+        doc = json.loads(path.read_text())
+        fields = [p for p in _leaf_paths(doc) if p and p[-1] in int_fields]
+        assert {f[-1] for f in fields} >= {"root_rank", "rank"}, path
+        for field in fields:
+            bad = json.loads(path.read_text())
+            _set_at(bad, field, mutate(_parent(bad, field)[field[-1]]))
+            assert _verify_doc(tmp_path, bad) == EXIT_ERROR, (path, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cert_verify_fuzz_exit_boundary(data):
+    # One leaf of a shipped certificate replaced or deleted: the verdict may
+    # be anything, but a malformed document must exit 2, and a refutation
+    # must carry its witness.
+    doc = json.loads(data.draw(st.sampled_from(_SHIPPED)).read_text())
+    _set_at(doc, data.draw(st.sampled_from(list(_leaf_paths(doc)))),
+            data.draw(st.sampled_from(_JUNK)))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_file, out_file = Path(tmp) / "doc.json", Path(tmp) / "report.json"
+        doc_file.write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(["cert", "verify", str(doc_file), "--out", str(out_file)])
+        assert code in (EXIT_VERIFIED, EXIT_REFUTED, EXIT_ERROR)
+        if code == EXIT_REFUTED:
+            report = json.loads(out_file.read_text())
+            assert report["witnesses"]["failing_check"]
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +357,14 @@ def test_jsonable_fraction_forms():
 
 
 def test_module_entry_point():
+    # The child does not inherit pytest's pythonpath setting: point it at the
+    # directory this moricone was imported from.
+    env = dict(os.environ)
+    src = str(Path(moricone.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "moricone.cli", "cones", "relative"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verified" in proc.stdout

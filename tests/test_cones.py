@@ -1,11 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from moricone.cones import (
-    Budget,
-    BudgetExceededError,
     DimensionMismatchError,
     LinealityError,
     LinearProgram,
@@ -194,36 +193,6 @@ def test_double_dual_square_cone():
     assert dual(dual(c)).rays == c.rays
 
 
-def test_budget_rays_exceeded():
-    # Dual of a 5-dim cross-polytope-like cone grows fast enough to trip a
-    # tiny ray cap.
-    gens = []
-    for i in range(1, 5):
-        for s in (1, -1):
-            v = [0] * 5
-            v[0] = 3
-            v[i] = s
-            gens.append(tuple(v))
-    c = cone_from_rays(5, gens)
-    with pytest.raises(BudgetExceededError) as ei:
-        dual(c, budget=Budget(max_rays=6))
-    assert ei.value.kind == "rays"
-
-
-def test_budget_seconds_exceeded():
-    gens = []
-    for i in range(1, 5):
-        for s in (1, -1):
-            v = [0] * 5
-            v[0] = 3
-            v[i] = s
-            gens.append(tuple(v))
-    c = cone_from_rays(5, gens)
-    with pytest.raises(BudgetExceededError) as ei:
-        dual(c, budget=Budget(max_seconds=0.0))
-    assert ei.value.kind == "seconds"
-
-
 # ---------------------------------------------------------------------------
 # randomized properties
 # ---------------------------------------------------------------------------
@@ -407,3 +376,19 @@ def test_lp_verdicts_are_certified(data):
                 assert v == c.bound
     else:
         assert check_infeasibility_certificate(lp, res.certificate)
+
+
+def test_lp_six_row_system_is_certified_quickly():
+    # Fourier-Motzkin elimination needs tens of seconds on this infeasible
+    # system; the simplex reduction needs milliseconds.
+    lp = LinearProgram(4, (constraint([-1, 3, 3, -3], ">=", -1),
+                           constraint([2, 0, 2, -3], "=", -4),
+                           constraint([-3, -2, -1, -1], ">", 4),
+                           constraint([2, 3, -1, 0], "=", 2),
+                           constraint([3, 0, -2, 3], ">", Fraction(-1, 3)),
+                           constraint([-2, -1, 3, 3], "=", 2)))
+    start = time.perf_counter()
+    res = lp_feasible(lp)
+    assert time.perf_counter() - start < 1.0
+    assert not res.feasible
+    assert check_infeasibility_certificate(lp, res.certificate)
