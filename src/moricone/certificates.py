@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from .cones import _basis_or_kernel
+
 Number = Union[int, Fraction]
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -48,6 +50,17 @@ def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def _sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
+
+
+def _check_widths(steps, root_rank: int, label: str) -> None:
+    """Each restriction takes classes of its parent stratum (the root first)."""
+    prev = root_rank
+    for k, s in enumerate(steps):
+        if any(len(row) != prev for row in s.restriction):
+            raise CertificateError(
+                f"{label} {k}: restriction columns do not match the parent "
+                f"rank {prev}")
+        prev = s.child.rank
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +136,7 @@ class ChainCertificate:
             raise CertificateError(
                 f"divisor has length {len(self.divisor)}, root rank is "
                 f"{self.root_rank}")
-        prev = self.root_rank
-        for k, s in enumerate(self.steps):
-            if any(len(row) != prev for row in s.restriction):
-                raise CertificateError(
-                    f"step {k}: restriction columns do not match the "
-                    f"parent rank {prev}")
-            prev = s.child.rank
+        _check_widths(self.steps, self.root_rank, "step")
 
 
 @dataclass(frozen=True)
@@ -188,12 +195,8 @@ class GridCertificate:
                 f"got {len(self.outer)}")
         if len(self.divisor) != self.root_rank:
             raise CertificateError("divisor length does not match root rank")
-        prev = self.root_rank
+        _check_widths(self.outer, self.root_rank, "outer step")
         for k, s in enumerate(self.outer):
-            if any(len(row) != prev for row in s.restriction):
-                raise CertificateError(
-                    f"outer step {k}: restriction columns do not match "
-                    f"parent rank {prev}")
             if k < c and s.next_class is None:
                 raise CertificateError(
                     f"outer step {k} needs the class of step {k + 1}")
@@ -201,7 +204,6 @@ class GridCertificate:
                 raise CertificateError(
                     "the corner step must not carry a next-stratum class "
                     "(its continuations are the grid classes)")
-            prev = s.child.rank
         for i in range(c, a + 1):
             for j in range(c, b + 1):
                 if (i, j) not in self.cells:
@@ -271,6 +273,27 @@ def _run_check(stratum: Stratum, vec: Vec, location: str) -> CheckRecord:
 # verification
 # ---------------------------------------------------------------------------
 
+def _verdict(records: list[CheckRecord], certified: str) -> Verdict:
+    ok = all(r.passed for r in records)
+    return Verdict(ok=ok, checks=tuple(records),
+                   certified=certified if ok else None)
+
+
+def _walk_chain(cert: ChainCertificate) -> list[CheckRecord]:
+    """Restrict the divisor down the chain; check the difference with the
+    next stratum's class at each step, or plain nefness where none is given."""
+    records = []
+    d = cert.divisor
+    for k, s in enumerate(cert.steps):
+        d = _apply(s.restriction, d)
+        loc = f"step {k} ({s.child.id})"
+        if s.next_class is None:
+            records.append(_run_check(s.child, d, f"{loc}, final"))
+        else:
+            records.append(_run_check(s.child, _sub(d, s.next_class), loc))
+    return records
+
+
 def verify_chain(cert: ChainCertificate) -> Verdict:
     """Full chain criterion: difference checks at every non-final stratum,
     then the plain nefness of the final restriction."""
@@ -283,19 +306,7 @@ def verify_chain(cert: ChainCertificate) -> Verdict:
             raise CertificateError(
                 "the final step of a full chain must not carry a next-stratum "
                 "class (use the hypothesis-only verifier for open-ended chains)")
-    records = []
-    d = cert.divisor
-    for k, s in enumerate(cert.steps):
-        d = _apply(s.restriction, d)
-        loc = f"step {k} ({s.child.id})"
-        if k < last:
-            records.append(_run_check(s.child, _sub(d, s.next_class), loc))
-        else:
-            records.append(_run_check(s.child, d, f"{loc}, final"))
-    ok = all(r.passed for r in records)
-    return Verdict(ok=ok, checks=tuple(records),
-                   certified="divisor is nef on the root space"
-                   if ok else None)
+    return _verdict(_walk_chain(cert), "divisor is nef on the root space")
 
 
 def verify_HE_hypotheses(cert: ChainCertificate) -> Verdict:
@@ -306,16 +317,8 @@ def verify_HE_hypotheses(cert: ChainCertificate) -> Verdict:
             raise CertificateError(
                 f"step {k}: every step of an open-ended chain carries the "
                 f"class of the next stratum")
-    records = []
-    d = cert.divisor
-    for k, s in enumerate(cert.steps):
-        d = _apply(s.restriction, d)
-        records.append(_run_check(s.child, _sub(d, s.next_class),
-                                  f"step {k} ({s.child.id})"))
-    ok = all(r.passed for r in records)
-    return Verdict(ok=ok, checks=tuple(records),
-                   certified="pullback minus exceptional divisor is nef on "
-                   "the blowup" if ok else None)
+    return _verdict(_walk_chain(cert), "pullback minus exceptional divisor "
+                    "is nef on the blowup")
 
 
 def _propagate_grid(cert: GridCertificate):
@@ -362,10 +365,8 @@ def verify_HEF_hypotheses(cert: GridCertificate) -> Verdict:
             vec = _sub(_sub(values[(i, j)], cell.right_class), cell.down_class)
             records.append(_run_check(cell.stratum, vec,
                                       f"cell ({i},{j}) ({cell.stratum.id})"))
-    ok = all(r.passed for r in records)
-    return Verdict(ok=ok, checks=tuple(records),
-                   certified="pullback minus both exceptional divisors is "
-                   "nef on the two-step blowup" if ok else None)
+    return _verdict(records, "pullback minus both exceptional divisors is "
+                    "nef on the two-step blowup")
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +412,18 @@ def _condition_root_nef(g: GridCertificate) -> Optional[CheckRecord]:
     return None if rec.passed else rec
 
 
-def _condition_A_chain(g: GridCertificate) -> Optional[CheckRecord]:
-    """Single-difference nefness down the factor's A-chain edge."""
+def _condition_edge(g: GridCertificate, axis: str) -> Optional[CheckRecord]:
+    """Single-difference nefness along the factor's A-chain edge (axis "A":
+    cells (x, c) minus their right class) or B-chain edge (axis "B": cells
+    (c, y) minus their down class)."""
     values, _ = _propagate_grid(g)
-    for x in range(g.c, g.a):
-        cell = g.cells[(x, g.c)]
-        rec = _run_check(cell.stratum,
-                         _sub(values[(x, g.c)], cell.right_class),
-                         f"A-chain cell ({x},{g.c}) ({cell.stratum.id})")
-        if not rec.passed:
-            return rec
-    return None
-
-
-def _condition_B_chain(g: GridCertificate) -> Optional[CheckRecord]:
-    """Single-difference nefness along the factor's B-chain edge."""
-    values, _ = _propagate_grid(g)
-    for y in range(g.c, g.b):
-        cell = g.cells[(g.c, y)]
-        rec = _run_check(cell.stratum,
-                         _sub(values[(g.c, y)], cell.down_class),
-                         f"B-chain cell ({g.c},{y}) ({cell.stratum.id})")
+    for t in range(g.c, g.a if axis == "A" else g.b):
+        at = (t, g.c) if axis == "A" else (g.c, t)
+        cell = g.cells[at]
+        nxt = cell.right_class if axis == "A" else cell.down_class
+        rec = _run_check(cell.stratum, _sub(values[at], nxt),
+                         f"{axis}-chain cell ({at[0]},{at[1]}) "
+                         f"({cell.stratum.id})")
         if not rec.passed:
             return rec
     return None
@@ -458,6 +450,66 @@ def _pick(pair_name: str, first_num: int, conds, allowed) -> int:
         f"{detail}")
 
 
+def _path(first: int, lo: tuple[int, int], hi: tuple[int, int]
+          ) -> list[tuple[int, int]]:
+    """Factor positions (p1, p2) from lo to hi, one factor moving per step:
+    factor `first` (0 or 1) walks its whole range before the other moves."""
+    pos = list(lo)
+    path = [lo]
+    for k in (first, 1 - first):
+        while pos[k] < hi[k]:
+            pos[k] += 1
+            path.append(tuple(pos))
+    return path
+
+
+def _mover(here: tuple[int, int], there: tuple[int, int]) -> int:
+    """The factor (0 or 1) that moves between adjacent path positions."""
+    return 0 if here[0] != there[0] else 1
+
+
+def _move(k: int, cls: Vec, m: Mat, s1: Stratum, s2: Stratum) -> tuple[Vec, Mat]:
+    """Class of the next product stratum on s1*s2, and the restriction to it,
+    when only factor k moves (by its class cls and its restriction m)."""
+    if k == 0:
+        return (_pad_vec(cls, 0, s2.rank),
+                _block_diag(m, s1.rank, identity_matrix(s2.rank), s2.rank))
+    return (_pad_vec(cls, s1.rank, 0),
+            _block_diag(identity_matrix(s1.rank), s1.rank, m, s2.rank))
+
+
+def _a_chain(g: GridCertificate) -> list[tuple[Stratum, Mat, Optional[Vec]]]:
+    """(stratum, restriction into it, class of the next stratum) from the
+    root down the outer chain and on along the grid's A-edge, cells (q, c)."""
+    edge = [g.cells[(q, g.c)] for q in range(g.c, g.a + 1)]
+    chain = [(s.child, s.restriction, s.next_class) for s in g.outer[:-1]]
+    chain.append((g.outer[-1].child, g.outer[-1].restriction,
+                  edge[0].right_class))
+    chain += [(cell.stratum, prev.right_map, cell.right_class)
+              for prev, cell in zip(edge, edge[1:])]
+    return chain
+
+
+def _interleave(chains, roots: tuple[int, int], path) -> list[ChainStep]:
+    """Product chain along a path from (0, 0) through two factor chains: a
+    step's restriction comes from the move into it, its next class from the
+    move out of it (none at the path's end)."""
+    restriction = _block_diag(chains[0][0][1], roots[0],
+                              chains[1][0][1], roots[1])
+    steps = []
+    for j, pos in enumerate(path):
+        s1, s2 = chains[0][pos[0]][0], chains[1][pos[1]][0]
+        next_class = next_map = None
+        if j + 1 < len(path):
+            k = _mover(pos, path[j + 1])
+            next_class, next_map = _move(k, chains[k][pos[k]][2],
+                                         chains[k][pos[k] + 1][1], s1, s2)
+        steps.append(ChainStep(child=_product_stratum(s1, s2),
+                               restriction=restriction, next_class=next_class))
+        restriction = next_map
+    return steps
+
+
 def build_product_certificates(
         f1: GridCertificate, f2: GridCertificate,
         allowed: Sequence[bool] = (True,) * 6) -> ProductCertificates:
@@ -473,152 +525,55 @@ def build_product_certificates(
     """
     if len(allowed) != 6:
         raise CertificateError("selector flags must have exactly six entries")
-    r1, r2 = f1.root_rank, f2.root_rank
-
+    factors = (f1, f2)
     x_case = _pick("globally-nef-divisor", 1,
-                   (lambda: _condition_root_nef(f1),
-                    lambda: _condition_root_nef(f2)), allowed)
+                   [lambda g=g: _condition_root_nef(g) for g in factors],
+                   allowed)
     a_sel = _pick("A-chain", 3,
-                  (lambda: _condition_A_chain(f1),
-                   lambda: _condition_A_chain(f2)), allowed)
+                  [lambda g=g: _condition_edge(g, "A") for g in factors],
+                  allowed)
     b_sel = _pick("B-chain", 5,
-                  (lambda: _condition_B_chain(f1),
-                   lambda: _condition_B_chain(f2)), allowed)
+                  [lambda g=g: _condition_edge(g, "B") for g in factors],
+                  allowed)
 
-    a1, b1, c1 = f1.a, f1.b, f1.c
-    a2, b2, c2 = f2.a, f2.b, f2.c
-    a, b, c = a1 + a2, b1 + b2, c1 + c2
-
-    # Index of each factor at product position j, for the three axes.  The
-    # "moving-first" factor exhausts its chain before the other starts.
-    if x_case == 1:  # factor 1's divisor nef => factor 2 moves first
-        xidx = (lambda j: max(0, j - c2), lambda j: min(j, c2))
-    else:
-        xidx = (lambda j: min(j, c1), lambda j: max(0, j - c1))
-    if b_sel == 5:   # factor 1's B-chain nef => factor 2's A-chain first
-        aidx = (lambda i: max(c1, i - a2), lambda i: min(i - c1, a2))
-    else:
-        aidx = (lambda i: min(i - c2, a1), lambda i: max(c2, i - a1))
-    if a_sel == 3:   # factor 1's A-chain nef => factor 2's B-chain first
-        bidx = (lambda j: max(c1, j - b2), lambda j: min(j - c1, b2))
-    else:
-        bidx = (lambda j: min(j - c2, b1), lambda j: max(c2, j - b1))
-
-    # --- grid ---------------------------------------------------------
-    outer_steps = []
-    for j in range(c + 1):
-        p1, p2 = xidx[0](j), xidx[1](j)
-        s1, s2 = f1.outer[p1].child, f2.outer[p2].child
-        child = _product_stratum(s1, s2)
-        if j == 0:
-            restriction = _block_diag(f1.outer[0].restriction, r1,
-                                      f2.outer[0].restriction, r2)
-        elif xidx[0](j) != xidx[0](j - 1):
-            prev2 = f2.outer[xidx[1](j - 1)].child
-            restriction = _block_diag(f1.outer[p1].restriction,
-                                      f1.outer[p1 - 1].child.rank,
-                                      identity_matrix(prev2.rank), prev2.rank)
-        else:
-            prev1 = f1.outer[xidx[0](j - 1)].child
-            restriction = _block_diag(identity_matrix(prev1.rank), prev1.rank,
-                                      f2.outer[p2].restriction,
-                                      f2.outer[p2 - 1].child.rank)
-        next_class = None
-        if j < c:
-            if xidx[0](j + 1) != p1:
-                nc = f1.outer[p1].next_class
-                next_class = _pad_vec(nc, 0, s2.rank)
-            else:
-                nc = f2.outer[p2].next_class
-                next_class = _pad_vec(nc, s1.rank, 0)
-        outer_steps.append(ChainStep(child=child, restriction=restriction,
-                                     next_class=next_class))
+    # The factor that walks its chain first: factor 2 (index 1) when factor
+    # 1's divisor is nef (1) on the outer chain and the A-chain, when factor
+    # 1's B-chain differences are nef (5) along A, and when factor 1's
+    # A-chain differences are nef (3) along B.
+    x_first, a_first, b_first = int(x_case == 1), int(b_sel == 5), int(a_sel == 3)
+    roots = (f1.root_rank, f2.root_rank)
+    chains = (_a_chain(f1), _a_chain(f2))
+    corner, c = (f1.c, f2.c), f1.c + f2.c
+    apath = _path(a_first, corner, (f1.a, f2.a))
+    bpath = _path(b_first, corner, (f1.b, f2.b))
 
     cells: dict[tuple[int, int], GridCell] = {}
-    for i in range(c, a + 1):
-        for j in range(c, b + 1):
-            x1, x2 = aidx[0](i), aidx[1](i)
-            y1, y2 = bidx[0](j), bidx[1](j)
-            cell1 = f1.cells[(x1, y1)]
-            cell2 = f2.cells[(x2, y2)]
-            s1, s2 = cell1.stratum, cell2.stratum
-            right_class = right_map = down_class = down_map = None
-            if i < a:
-                if aidx[0](i + 1) != x1:
-                    right_class = _pad_vec(cell1.right_class, 0, s2.rank)
-                    right_map = _block_diag(cell1.right_map, s1.rank,
-                                            identity_matrix(s2.rank), s2.rank)
-                else:
-                    right_class = _pad_vec(cell2.right_class, s1.rank, 0)
-                    right_map = _block_diag(identity_matrix(s1.rank), s1.rank,
-                                            cell2.right_map, s2.rank)
-            if j < b:
-                if bidx[0](j + 1) != y1:
-                    down_class = _pad_vec(cell1.down_class, 0, s2.rank)
-                    down_map = _block_diag(cell1.down_map, s1.rank,
-                                           identity_matrix(s2.rank), s2.rank)
-                else:
-                    down_class = _pad_vec(cell2.down_class, s1.rank, 0)
-                    down_map = _block_diag(identity_matrix(s1.rank), s1.rank,
-                                           cell2.down_map, s2.rank)
-            cells[(i, j)] = GridCell(
+    for i, (x1, x2) in enumerate(apath):
+        for j, (y1, y2) in enumerate(bpath):
+            here = (f1.cells[(x1, y1)], f2.cells[(x2, y2)])
+            s1, s2 = here[0].stratum, here[1].stratum
+            right = down = (None, None)
+            if i + 1 < len(apath):
+                k = _mover(apath[i], apath[i + 1])
+                right = _move(k, here[k].right_class, here[k].right_map, s1, s2)
+            if j + 1 < len(bpath):
+                k = _mover(bpath[j], bpath[j + 1])
+                down = _move(k, here[k].down_class, here[k].down_map, s1, s2)
+            cells[(c + i, c + j)] = GridCell(
                 stratum=_product_stratum(s1, s2),
-                right_class=right_class, right_map=right_map,
-                down_class=down_class, down_map=down_map)
+                right_class=right[0], right_map=right[1],
+                down_class=down[0], down_map=down[1])
 
     divisor = tuple(f1.divisor) + tuple(f2.divisor)
-    grid = GridCertificate(a=a, b=b, c=c, root_rank=r1 + r2,
-                           outer=tuple(outer_steps), cells=cells,
-                           divisor=divisor)
-
-    # --- chain (single-blowup certificate along the full A-chains) ----
-    def full_a_chain(g: GridCertificate):
-        """Stratum / incoming-restriction / next-class at positions 0..a."""
-        entries = []
-        for q in range(g.a + 1):
-            if q <= g.c:
-                step = g.outer[q]
-                stratum, rest = step.child, step.restriction
-                if q < g.c:
-                    nxt = step.next_class
-                else:
-                    nxt = g.cells[(q, g.c)].right_class if q < g.a else None
-            else:
-                stratum = g.cells[(q, g.c)].stratum
-                rest = g.cells[(q - 1, g.c)].right_map
-                nxt = g.cells[(q, g.c)].right_class if q < g.a else None
-            entries.append((stratum, rest, nxt))
-        return entries
-
-    ch1, ch2 = full_a_chain(f1), full_a_chain(f2)
-    if x_case == 1:
-        cidx = (lambda j: max(0, j - a2), lambda j: min(j, a2))
-    else:
-        cidx = (lambda j: min(j, a1), lambda j: max(0, j - a1))
-    chain_steps = []
-    for j in range(a):  # strata 0..a-1; position a (the center) is not a step
-        p1, p2 = cidx[0](j), cidx[1](j)
-        s1, s2 = ch1[p1][0], ch2[p2][0]
-        child = _product_stratum(s1, s2)
-        if j == 0:
-            restriction = _block_diag(ch1[0][1], r1, ch2[0][1], r2)
-        elif cidx[0](j) != cidx[0](j - 1):
-            prev2 = ch2[cidx[1](j - 1)][0]
-            restriction = _block_diag(ch1[p1][1], ch1[p1 - 1][0].rank,
-                                      identity_matrix(prev2.rank), prev2.rank)
-        else:
-            prev1 = ch1[cidx[0](j - 1)][0]
-            restriction = _block_diag(identity_matrix(prev1.rank), prev1.rank,
-                                      ch2[p2][1], ch2[p2 - 1][0].rank)
-        if cidx[0](j + 1) != p1:
-            next_class = _pad_vec(ch1[p1][2], 0, s2.rank)
-        else:
-            next_class = _pad_vec(ch2[p2][2], s1.rank, 0)
-        chain_steps.append(ChainStep(child=child, restriction=restriction,
-                                     next_class=next_class))
-    chain = ChainCertificate(root_rank=r1 + r2, steps=tuple(chain_steps),
-                             divisor=divisor)
-
+    grid = GridCertificate(
+        a=f1.a + f2.a, b=f1.b + f2.b, c=c, root_rank=sum(roots),
+        outer=_interleave(chains, roots, _path(x_first, (0, 0), corner)),
+        cells=cells, divisor=divisor)
+    # The single-blowup chain runs along the full A-chains; the last
+    # position, the center itself, is not a step.
+    a_path = _path(x_first, (0, 0), (f1.a, f2.a))
+    chain = ChainCertificate(root_rank=sum(roots), divisor=divisor,
+                             steps=_interleave(chains, roots, a_path)[:-1])
     return ProductCertificates(chain=chain, grid=grid,
                                cases=(x_case, a_sel, b_sel))
 
@@ -663,23 +618,38 @@ def _mat_in(m) -> Mat:
     return tuple(_vec_in(row) for row in m)
 
 
+def _opt(convert, x):
+    return None if x is None else convert(x)
+
+
+def _stratum_out(s: Stratum) -> dict:
+    return {"id": s.id, "rank": s.rank,
+            "oracle_curves": _mat_out(s.oracle_curves)}
+
+
+def _stratum_in(d: dict, default_id: str) -> Stratum:
+    """A stratum of positive rank must list oracle curves spanning its
+    lattice: otherwise a nonzero class pairs 0 with every curve, and both it
+    and its negative would pass as nef."""
+    s = Stratum(id=d.get("id", default_id), rank=_int_in(d["rank"]),
+                oracle_curves=_mat_in(d["oracle_curves"]))
+    if s.rank > 0 and (len(s.oracle_curves) < s.rank or _basis_or_kernel(
+            s.oracle_curves, s.rank)[1] is not None):
+        raise CertificateError(
+            f"stratum {s.id!r}: the oracle curves do not span its rank-"
+            f"{s.rank} class lattice")
+    return s
+
+
 def _step_out(s: ChainStep) -> dict:
-    out = {
-        "id": s.child.id,
-        "rank": s.child.rank,
-        "restriction": _mat_out(s.restriction),
-        "next_class": None if s.next_class is None else _vec_out(s.next_class),
-        "oracle_curves": _mat_out(s.child.oracle_curves),
-    }
-    return out
+    return {**_stratum_out(s.child), "restriction": _mat_out(s.restriction),
+            "next_class": _opt(_vec_out, s.next_class)}
 
 
 def _step_in(d: dict, index: int) -> ChainStep:
-    stratum = Stratum(id=d.get("id", f"step{index}"), rank=_int_in(d["rank"]),
-                      oracle_curves=_mat_in(d.get("oracle_curves", [])))
-    nxt = d.get("next_class")
-    return ChainStep(child=stratum, restriction=_mat_in(d["restriction"]),
-                     next_class=None if nxt is None else _vec_in(nxt))
+    return ChainStep(child=_stratum_in(d, f"step{index}"),
+                     restriction=_mat_in(d["restriction"]),
+                     next_class=_opt(_vec_in, d.get("next_class")))
 
 
 def certificate_to_dict(cert: Union[ChainCertificate, GridCertificate]) -> dict:
@@ -691,22 +661,12 @@ def certificate_to_dict(cert: Union[ChainCertificate, GridCertificate]) -> dict:
             "divisor": _vec_out(cert.divisor),
         }
     if isinstance(cert, GridCertificate):
-        cells = []
-        for (i, j), cell in sorted(cert.cells.items()):
-            cells.append({
-                "i": i, "j": j,
-                "id": cell.stratum.id,
-                "rank": cell.stratum.rank,
-                "oracle_curves": _mat_out(cell.stratum.oracle_curves),
-                "right_class": None if cell.right_class is None
-                else _vec_out(cell.right_class),
-                "right_map": None if cell.right_map is None
-                else _mat_out(cell.right_map),
-                "down_class": None if cell.down_class is None
-                else _vec_out(cell.down_class),
-                "down_map": None if cell.down_map is None
-                else _mat_out(cell.down_map),
-            })
+        cells = [{"i": i, "j": j, **_stratum_out(cell.stratum),
+                  "right_class": _opt(_vec_out, cell.right_class),
+                  "right_map": _opt(_mat_out, cell.right_map),
+                  "down_class": _opt(_vec_out, cell.down_class),
+                  "down_map": _opt(_mat_out, cell.down_map)}
+                 for (i, j), cell in sorted(cert.cells.items())]
         return {
             "kind": "grid",
             "a": cert.a, "b": cert.b, "c": cert.c,
@@ -738,20 +698,13 @@ def _certificate_from_dict(data, kind):
             divisor=_vec_in(data["divisor"]))
     if kind == "grid":
         cells = {}
-        for entry in data["cells"]:
-            stratum = Stratum(id=entry.get("id", f"cell({entry['i']},{entry['j']})"),
-                              rank=_int_in(entry["rank"]),
-                              oracle_curves=_mat_in(entry.get("oracle_curves", [])))
-            cells[(_int_in(entry["i"]), _int_in(entry["j"]))] = GridCell(
-                stratum=stratum,
-                right_class=None if entry.get("right_class") is None
-                else _vec_in(entry["right_class"]),
-                right_map=None if entry.get("right_map") is None
-                else _mat_in(entry["right_map"]),
-                down_class=None if entry.get("down_class") is None
-                else _vec_in(entry["down_class"]),
-                down_map=None if entry.get("down_map") is None
-                else _mat_in(entry["down_map"]))
+        for e in data["cells"]:
+            cells[(_int_in(e["i"]), _int_in(e["j"]))] = GridCell(
+                stratum=_stratum_in(e, f"cell({e['i']},{e['j']})"),
+                right_class=_opt(_vec_in, e.get("right_class")),
+                right_map=_opt(_mat_in, e.get("right_map")),
+                down_class=_opt(_vec_in, e.get("down_class")),
+                down_map=_opt(_mat_in, e.get("down_map")))
         return GridCertificate(
             a=_int_in(data["a"]), b=_int_in(data["b"]), c=_int_in(data["c"]),
             root_rank=_int_in(data["root_rank"]),

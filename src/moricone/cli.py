@@ -4,7 +4,8 @@ Every subcommand prints a deterministic human-readable report to stdout (or a
 JSON report document with ``--json`` / ``--format json``) and can mirror the
 JSON document to a file with ``--out``.  Exit codes: 0 = everything requested
 verified, 1 = a verification was refuted (the report carries a witness),
-2 = usage or input error, 3 = internal error (a failed internal check; the
+2 = usage or input error (an unreadable input file or an unwritable ``--out``
+file included), 3 = internal error (a failed internal check; the
 traceback goes to stderr and no verdict is printed).
 """
 
@@ -382,33 +383,27 @@ def run(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code, lines, extra, verdicts, witnesses = args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, ConeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        doc = _document(argv, extra, verdicts, witnesses, t0)
+        if getattr(args, "json", False) \
+                or getattr(args, "format", None) == "json":
+            print(json.dumps(doc, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+    except (OSError, ValueError, CertificateError, ConeError) as exc:
+        # Unreadable input, an unwritable --out, or a malformed document.
+        bad_json = isinstance(exc, json.JSONDecodeError)
+        print(f"error: {'not valid JSON: ' if bad_json else ''}{exc}",
+              file=sys.stderr)
         return EXIT_ERROR
     except Exception:
         # A failed internal check is no verdict, so it must not exit 1.
         traceback.print_exc()
         return EXIT_INTERNAL
-
-    doc = _document(argv, extra, verdicts, witnesses, t0)
-    if getattr(args, "json", False) or getattr(args, "format", None) == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in lines:
-            print(line)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
     return code
 
 

@@ -1,5 +1,6 @@
 """Tests for chain/grid nefness certificates and the product builder."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -338,6 +339,50 @@ def test_selector_error_reports_first_violated_condition():
         build_product_certificates(bad1, bad2)
 
 
+FIXTURES = ((2, 2, 2), (3, 2, 2), (2, 3, 3))
+
+
+@pytest.mark.parametrize("cases", list(itertools.product((1, 2), (3, 4), (5, 6))),
+                         ids=lambda t: "".join(map(str, t)))
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda t: "_".join(map(str, t)))
+def test_every_alternative_builds_and_verifies(fixture, cases):
+    # Forcing one alternative per pair walks the other interleaving order
+    # of the outer chain, the A-chain, the rows or the columns.
+    allowed = [k in cases for k in range(1, 7)]
+    built = build_product_certificates(*tsukioka_factors(*fixture), allowed)
+    assert built.cases == cases
+    assert verify_HE_hypotheses(built.chain).ok
+    assert verify_HEF_hypotheses(built.grid).ok
+
+
+@pytest.mark.parametrize("cases", list(itertools.product((1, 2), (3, 4), (5, 6))),
+                         ids=lambda t: "".join(map(str, t)))
+def test_alternatives_set_the_walk_order(cases):
+    # In the fixtures one factor never moves along A or B, so only the outer
+    # order shows there; two square grids move both factors on every axis.
+    square = make_square_grid(2)
+    allowed = [k in cases for k in range(1, 7)]
+    built = build_product_certificates(square, square, allowed)
+    assert built.cases == cases
+    first = {True: "Z00*Z10", False: "Z10*Z00"}  # factor 2 first, factor 1
+    assert [s.child.id for s in built.chain.steps] == \
+        ["Z00*Z00", first[cases[0] == 1]]
+    assert built.grid.cells[(1, 0)].stratum.id == first[cases[2] == 5]
+    assert built.grid.cells[(0, 1)].stratum.id == \
+        {True: "Z00*Z01", False: "Z01*Z00"}[cases[1] == 3]
+    assert verify_HE_hypotheses(built.chain).ok
+    assert verify_HEF_hypotheses(built.grid).ok
+
+
+def test_shipped_files_reproduce(shipped_cert_paths):
+    for n1, n2, d in FIXTURES:
+        built = build_product_certificates(*tsukioka_factors(n1, n2, d))
+        for kind, cert in (("chain", built.chain), ("grid", built.grid)):
+            path = shipped_cert_paths[0].with_name(
+                f"tsukioka_{n1}_{n2}_{d}_{kind}.json")
+            assert certificate_to_dict(cert) == json.loads(path.read_text())
+
+
 def test_verdicts_deterministic():
     f1, f2 = tsukioka_factors(3, 2, 2)
     built = build_product_certificates(f1, f2)
@@ -414,3 +459,31 @@ def test_json_rejects_floats():
     }
     with pytest.raises(CertificateError):
         certificate_from_dict(cert_dict)
+
+
+def _one_step_doc(rank, oracle_curves):
+    return {"kind": "chain", "root_rank": rank, "divisor": [1] * rank,
+            "steps": [{"rank": rank, "oracle_curves": oracle_curves,
+                       "restriction": [[int(i == j) for j in range(rank)]
+                                       for i in range(rank)]}]}
+
+
+@pytest.mark.parametrize("oracle_curves", [[], [[0, 0]], [[1, 0]],
+                                           [[1, -1], [-2, 2]]],
+                         ids=["empty", "zero", "short", "dependent"])
+def test_json_rejects_oracle_curves_that_do_not_span(oracle_curves):
+    # Some nonzero class pairs 0 with every listed curve, so it and its
+    # negative would both pass as nef.
+    with pytest.raises(CertificateError, match="do not span"):
+        certificate_from_dict(_one_step_doc(2, oracle_curves))
+    assert verify_chain(certificate_from_dict(
+        _one_step_doc(2, oracle_curves + [[1, 1], [0, 1]]))).ok
+
+
+def test_json_requires_oracle_curves():
+    doc = _one_step_doc(1, [[1]])
+    del doc["steps"][0]["oracle_curves"]
+    with pytest.raises(CertificateError, match="oracle_curves"):
+        certificate_from_dict(doc)
+    # a point has rank 0 and an empty oracle
+    assert certificate_from_dict(_one_step_doc(0, [])).steps[0].child.rank == 0

@@ -23,6 +23,9 @@ from moricone.cli import (EXIT_ERROR, EXIT_INTERNAL, EXIT_REFUTED,
                           EXIT_VERIFIED, jsonable, run)
 
 
+_CERTS = Path(__file__).resolve().parents[1] / "certs"
+
+
 def capture(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -77,6 +80,17 @@ def test_cert_verify_missing_file():
     assert run(["cert", "verify", "missing.json"]) == EXIT_ERROR
 
 
+def test_cert_verify_directory_is_input_error():
+    assert run(["cert", "verify", str(_CERTS)]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("target", ["dir", "missing_dir"])
+def test_unwritable_out_is_input_error(tmp_path, target):
+    out = tmp_path if target == "dir" else tmp_path / "missing" / "doc.json"
+    code, _ = capture(["dp", "minus-one", "--r", "2", "--out", str(out)])
+    assert code == EXIT_ERROR
+
+
 def test_cert_verify_malformed_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -118,9 +132,34 @@ def test_cert_verify_boolean_entry_is_input_error(tmp_path):
     assert _verify_doc(tmp_path, doc) == EXIT_ERROR
 
 
+def _replace_oracles(node, curves):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "oracle_curves":
+                node[key] = curves(node)
+            else:
+                _replace_oracles(value, curves)
+    elif isinstance(node, list):
+        for value in node:
+            _replace_oracles(value, curves)
+
+
+@pytest.mark.parametrize("curves", [lambda s: [],
+                                    lambda s: [[0] * s["rank"]] * s["rank"]],
+                         ids=["emptied", "zeroed"])
+@pytest.mark.parametrize("kind", ["chain", "grid"])
+def test_cert_verify_vacuous_oracles_is_input_error(tmp_path, kind, curves):
+    # An oracle that does not span the class lattice passes every divisor
+    # and its negative alike, so it proves nothing.
+    doc = json.loads((_CERTS / f"tsukioka_2_2_2_{kind}.json").read_text())
+    assert _verify_doc(tmp_path, doc) == EXIT_VERIFIED
+    _replace_oracles(doc, curves)
+    assert _verify_doc(tmp_path, doc) == EXIT_ERROR
+
+
 _DELETE = object()
 _JUNK = (None, True, 1.5, "1/0", [], {}, 10**30, -10**30, _DELETE)
-_SHIPPED = sorted((Path(__file__).resolve().parents[1] / "certs").glob("*.json"))
+_SHIPPED = sorted(_CERTS.glob("*.json"))
 
 
 def _leaf_paths(node, path=()):
