@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Number = Union[int, Fraction]
@@ -69,7 +70,7 @@ def dot(u: Sequence[Number], v: Sequence[Number]):
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def primitive(v: Sequence[Number]) -> IntVector:
@@ -78,17 +79,11 @@ def primitive(v: Sequence[Number]) -> IntVector:
     The zero vector maps to itself.  Direction is preserved (the scale factor
     is always positive), so rays are never flipped.
     """
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    fr = [x if type(x) is int else Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in fr))
+    ints = [x.numerator * (den // x.denominator) for x in fr]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def is_zero(v: Sequence[Number]) -> bool:
@@ -116,9 +111,6 @@ class PolyCone:
     rays: tuple[IntVector, ...]
     inequalities: Optional[tuple[IntVector, ...]] = None
     canonical: bool = True
-
-    def __contains__(self, v) -> bool:
-        return contains(self, v).member
 
 
 def generated(dim: int, vectors: Iterable[Sequence[Number]]) -> PolyCone:
@@ -256,6 +248,15 @@ def dual(cone: PolyCone) -> PolyCone:
     The result is deterministic: constraints are inserted in a fixed order
     (a greedy lexicographic basis first, the rest in lexicographic order) and
     the output is canonically sorted.
+
+    Rays stay integral throughout: the basis comes from the fraction-free
+    elimination of :func:`_basis_or_kernel`, the initial rays are the
+    columns of ``|det B| * B^{-1}``, and each new ray is an integer
+    combination of two adjacent rays divided by its gcd.  Three guards run
+    on every call and raise :class:`AssertionError` (not ``assert``, so
+    ``python -O`` keeps them): the kernel witness is orthogonal to every
+    generator, the scaled inverse is integral, and every output ray pairs
+    nonnegatively with every generator.
     """
     d = cone.dim
     if d == 0:
@@ -309,11 +310,11 @@ def dual(cone: PolyCone) -> PolyCone:
                 z = mp & masks[kn]
                 if z.bit_count() < d - 2:
                     continue
-                if not _combinatorially_adjacent(z, kp, kn, masks):
+                if not _combinatorially_adjacent(z, masks):
                     continue
                 sn = svals[kn]
                 n = rays_cur[kn]
-                vec = tuple(sp * n[i] - sn * p[i] for i in range(d))
+                vec = [sp * x - sn * y for x, y in zip(n, p)]
                 new_rays.append(_reduce_int(vec))
                 new_masks.append(z | bit)
         rays_cur = [rays_cur[k] for k in pos] + [rays_cur[k] for k in zer] + new_rays
@@ -331,44 +332,55 @@ def dual(cone: PolyCone) -> PolyCone:
     return PolyCone(d, tuple(out), inequalities=tuple(rows))
 
 
-def _combinatorially_adjacent(z: int, kp: int, kn: int, masks: list[int]) -> bool:
-    """Rays kp, kn are adjacent iff no third ray's zero set contains z."""
-    for k, m in enumerate(masks):
-        if k == kp or k == kn:
-            continue
+def _combinatorially_adjacent(z: int, masks: list[int]) -> bool:
+    """Rays kp, kn with ``z = masks[kp] & masks[kn]`` are adjacent iff no
+    third ray's zero set contains z.  Both their own masks contain z, so that
+    is: at most two masks contain z."""
+    found = 0
+    for m in masks:
         if m & z == z:
-            return False
+            found += 1
+            if found > 2:
+                return False
     return True
 
 
 def _reduce_int(vec: Sequence[int]) -> IntVector:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
+    g = gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)
 
 
-def _basis_or_kernel(rows: Sequence[IntVector], d: int
+def _basis_or_kernel(rows: Sequence[Sequence[Number]], d: int
                      ) -> tuple[Optional[list[int]], Optional[IntVector]]:
-    """One row-by-row elimination over ``rows``.
+    """One row-by-row elimination over ``rows``, fraction-free.
+
+    Each row is cleared of denominators by :func:`primitive`, then reduced
+    against every stored echelon row ``e`` with pivot ``p`` by
+    ``v = e[p] * v - v[p] * e`` and divided by its gcd.  A stored row is
+    thus a nonzero multiple of the row rational elimination would store, so
+    the pivots, the chosen indices and the kernel line are the same.
 
     Returns ``(indices, None)`` with the first maximal independent subset,
     scanning in order, when the rows span the space; otherwise
     ``(None, z)`` with a primitive nonzero ``z`` such that row . z = 0 for
-    all rows.
+    all rows, checked before it is returned.
     """
     chosen: list[int] = []
-    echelon: list[list[Fraction]] = []
+    echelon: list[list[int]] = []
     pivots: list[int] = []
     for i, row in enumerate(rows):
-        v = [Fraction(x) for x in row]
+        v = list(primitive(row))
         for e, p in zip(echelon, pivots):
-            if v[p] != 0:
-                c = v[p] / e[p]
-                v = [a - c * b for a, b in zip(v, e)]
-        piv = next((j for j, x in enumerate(v) if x != 0), None)
+            c = v[p]
+            if c:
+                f = e[p]
+                v = [f * a - c * b for a, b in zip(v, e)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [a // g for a in v]
+        piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             continue
         echelon.append(v)
@@ -379,8 +391,7 @@ def _basis_or_kernel(rows: Sequence[IntVector], d: int
     free = next(j for j in range(d) if j not in pivots)
     z = [Fraction(0)] * d
     z[free] = Fraction(1)
-    # Back-substitute through the echelon rows (any order works; each pivot
-    # appears in exactly one stored row once we normalize below).
+    # Back-substitute through the echelon rows, highest pivot first.
     for e, p in sorted(zip(echelon, pivots), key=lambda t: -t[1]):
         z[p] = -sum(e[j] * z[j] for j in range(d) if j != p) / e[p]
     out = primitive(z)

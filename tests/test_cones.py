@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from moricone import cones, delpezzo
 from moricone.cones import (
     DimensionMismatchError,
     LinealityError,
@@ -22,6 +27,7 @@ from moricone.cones import (
 )
 
 from .oracles import (
+    _primitive,
     _rank_and_kernel,
     dual_by_facet_enumeration,
     dual_by_inverse,
@@ -263,6 +269,112 @@ def test_membership_agrees_with_dual_pairings(c, coeffs, noise):
     else:
         assert all(dot(m.separator, g) >= 0 for g in c.rays)
         assert dot(m.separator, probe) < 0
+
+
+@st.composite
+def row_lists(draw):
+    """Integer or rational rows, spanning or not; the small entries make
+    dependent rows and corank 1 common."""
+    d = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.builds(Fraction, st.integers(-3, 3),
+                                           st.integers(1, 3)))
+    rows = draw(st.lists(st.tuples(*[entry] * d), max_size=d + 2))
+    return d, rows
+
+
+@given(row_lists())
+def test_basis_or_kernel_matches_rank_oracle(case):
+    d, rows = case
+    idx, kern = cones._basis_or_kernel(rows, d)
+    rank, kernel = _rank_and_kernel(rows, d)
+    if rank == d:
+        assert kern is None
+        assert idx == [i for i in range(len(rows))
+                       if _rank_and_kernel(rows[:i + 1], d)[0]
+                       > _rank_and_kernel(rows[:i], d)[0]]
+        return
+    assert idx is None
+    assert any(x != 0 for x in kern) and all(type(x) is int for x in kern)
+    assert all(dot(row, kern) == 0 for row in rows)
+    # Both back-substitute from the first free column, so even the sign
+    # agrees; at corank 1 that pins the kernel line itself.
+    assert kern == _primitive(kernel[0])
+
+
+# ---------------------------------------------------------------------------
+# degenerate del Pezzo cones
+# ---------------------------------------------------------------------------
+
+def _minus_one_rows(r):
+    """The (-1)-class pairing rows of dP_r: every row is extremal and many
+    rays of their dual are degenerate."""
+    L = delpezzo.build(r)
+    return generated(L.rank, [delpezzo.pairing_row(c)
+                              for c in delpezzo.minus_one_classes(L)])
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_dual_of_minus_one_rows_matches_oracle(r):
+    rows = _minus_one_rows(r)
+    assert list(dual(rows).rays) == dual_by_facet_enumeration(rows.rays)
+
+
+@pytest.mark.parametrize("r, count", [(6, 99), (7, 702)])
+def test_del_pezzo_nef_cone_counts_round_trip(r, count):
+    rows = _minus_one_rows(r)
+    nef = dual(rows)
+    assert len(nef.rays) == count
+    back = dual(nef)
+    assert back.rays == rows.rays
+    assert dual(back).rays == nef.rays
+
+
+def _negate_first_new_ray(set_attr, d):
+    """Make ``dual`` negate the first ray double description builds; the
+    first ``d`` calls of ``_reduce_int`` scale the initial simplicial rays."""
+    calls = []
+    reduce_int = cones._reduce_int
+
+    def broken(vec):
+        calls.append(vec)
+        r = reduce_int(vec)
+        return tuple(-x for x in r) if len(calls) == d + 1 else r
+
+    set_attr(cones, "_reduce_int", broken)
+    return calls
+
+
+def test_final_guard_catches_a_wrong_ray(monkeypatch):
+    rows = _minus_one_rows(5)
+    calls = _negate_first_new_ray(monkeypatch.setattr, rows.dim)
+    with pytest.raises(AssertionError,
+                       match="double description produced an invalid ray"):
+        dual(rows)
+    assert len(calls) > rows.dim
+
+
+def test_final_guard_survives_optimize_flag():
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(cones.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, str(root), env.get("PYTHONPATH")) if p)
+    child = (
+        "from moricone import cones\n"
+        "from tests.test_cones import _minus_one_rows, _negate_first_new_ray\n"
+        "rows = _minus_one_rows(5)\n"
+        "_negate_first_new_ray(setattr, rows.dim)\n"
+        "try:\n"
+        "    cones.dual(rows)\n"
+        "except AssertionError as e:\n"
+        "    print(__debug__, e)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "False double description produced an invalid ray"
 
 
 # ---------------------------------------------------------------------------
