@@ -3,14 +3,14 @@ two-step blowups of surface products.
 
 The package has six parts:
 
-* :mod:`moricone.cones` — exact rational vectors, canonical polyhedral cones,
-  dual cones by double description, membership/equality certificates, and a
-  small exact LP solver with infeasibility certificates.
+* :mod:`moricone.cones` — exact rational vectors, polyhedral cones as sorted
+  primitive rays, dual cones by double description, membership/equality
+  certificates, and a small exact LP solver with infeasibility certificates.
 * :mod:`moricone.delpezzo` — numerical models of del Pezzo surfaces: Picard
   lattice, (-1)-classes, NE generators, nef cone.
 * :mod:`moricone.blowup` — the two-step blowup engine: relative cones,
-  intersection table, conormal degree bookkeeping, fiber structure, and the
-  contraction classifier.
+  intersection table, the restricted conormal degrees and fiber structure,
+  and the contraction classifier.
 * :mod:`moricone.certificates` — chain- and grid-style nefness certificates,
   their verifiers, and the product-certificate builder.
 * :mod:`moricone.scenario` — the del Pezzo product scenario: curve catalog,

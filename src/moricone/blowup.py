@@ -13,9 +13,8 @@ between them is the 2x2 matrix returned by :func:`relative_pairing`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
-from .cones import EqualityVerdict, PolyCone, cone_from_rays, cones_equal, dual
+from .cones import EqualityVerdict, PolyCone, cones_equal, dual, generated
 
 
 @dataclass(frozen=True)
@@ -68,40 +67,6 @@ class ContractionReport:
 
 
 @dataclass(frozen=True)
-class DegreeMultiset:
-    """Multiset of line-bundle degrees: map degree -> positive multiplicity."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        cleaned = tuple(sorted((d, m) for d, m in self.entries if m != 0))
-        for _, m in cleaned:
-            if m < 0:
-                raise ValueError("multiplicities must be positive")
-        if len({d for d, _ in cleaned}) != len(cleaned):
-            raise ValueError("duplicate degrees in multiset")
-        object.__setattr__(self, "entries", cleaned)
-
-    @classmethod
-    def from_dict(cls, d: Mapping[int, int]) -> "DegreeMultiset":
-        return cls(tuple(d.items()))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def shifted(self, k: int) -> "DegreeMultiset":
-        return DegreeMultiset(tuple((d + k, m) for d, m in self.entries))
-
-    def min_degree(self) -> int:
-        if not self.entries:
-            raise ValueError("empty multiset has no minimum degree")
-        return self.entries[0][0]
-
-
-@dataclass(frozen=True)
 class FiberStructure:
     ambient_dim: int        # the fiber component W_z sits over P^(ambient_dim)
     center_codim: int       # codim of the blown-up linear subspace in it
@@ -133,16 +98,16 @@ def relative_cones() -> RelativeCones:
     recomputed, not assumed.
     """
     m = relative_pairing()
-    nef_claimed = cone_from_rays(2, [(-1, 0), (-1, -1)])
-    ne_claimed = cone_from_rays(2, [(1, 0), (0, 1)])
+    nef_claimed = generated(2, [(-1, 0), (-1, -1)])
+    ne_claimed = generated(2, [(1, 0), (0, 1)])
     # functional of curve c on divisor space: D . c = sum_i D_i * m[i][c]
     curve_rows = [tuple(m[i][j] for i in range(2)) for j in range(2)]
-    nef_computed = dual(cone_from_rays(2, curve_rows))
+    nef_computed = dual(generated(2, curve_rows))
     v1 = cones_equal(nef_computed, nef_claimed)
     # functional of divisor D on curve space, for each claimed nef generator
     div_rows = [tuple(sum(g[i] * m[i][j] for i in range(2)) for j in range(2))
                 for g in nef_claimed.rays]
-    ne_computed = dual(cone_from_rays(2, div_rows))
+    ne_computed = dual(generated(2, div_rows))
     v2 = cones_equal(ne_computed, ne_claimed)
     verdict = v1 if not v1.equal else v2
     return RelativeCones(nef_claimed, ne_claimed, verdict)
@@ -194,21 +159,6 @@ def classify(params: ConstructionParams) -> ContractionReport:
 # conormal-bundle degree splittings
 # ---------------------------------------------------------------------------
 
-def conormal_linear(n: int, c: int) -> DegreeMultiset:
-    """Conormal of a linear subspace of codim c in P^n: O(-1)^c."""
-    if not (0 <= c <= n):
-        raise ValueError(f"codimension must satisfy 0 <= c <= {n}, got {c}")
-    return DegreeMultiset(((-1, c),))
-
-
-def conormal_fiber(dimA: int) -> DegreeMultiset:
-    """Conormal of a blowup fiber P^(k) inside the exceptional locus over a
-    center of dimension dimA: O(1) + O^dimA."""
-    if dimA < 0:
-        raise ValueError("center dimension must be nonnegative")
-    return DegreeMultiset(((1, 1), (0, dimA)))
-
-
 def _check_abc(a: int, b: int, c: int) -> None:
     if a < 2 or b < 2:
         raise ValueError("both codimensions must be at least 2")
@@ -217,11 +167,11 @@ def _check_abc(a: int, b: int, c: int) -> None:
             f"defect must satisfy 1 <= c <= min(a, b) = {min(a, b)}, got {c}")
 
 
-def conormal_restricted(a: int, b: int, c: int) -> DegreeMultiset:
+def conormal_restricted(a: int, b: int, c: int) -> dict[int, int]:
     """Degrees of the second center's conormal restricted to a first-step
-    fiber line: O^(b-c) + O(-1)^c."""
+    fiber line, as {degree: multiplicity}: O^(b-c) + O(-1)^c."""
     _check_abc(a, b, c)
-    return DegreeMultiset(((0, b - c), (-1, c)))
+    return {d: m for d, m in ((-1, c), (0, b - c)) if m}
 
 
 def fiber_structure(a: int, b: int, c: int) -> FiberStructure:
@@ -245,5 +195,4 @@ def fiber_structure(a: int, b: int, c: int) -> FiberStructure:
 def minus_EF_nef_on_fiber(a: int, b: int, c: int) -> bool:
     """Nefness of -(E+F) on the fiber component: the twist by +1 of the
     restricted conormal must have all degrees >= 0."""
-    twisted = conormal_restricted(a, b, c).shifted(1)
-    return twisted.min_degree() >= 0
+    return all(d + 1 >= 0 for d in conormal_restricted(a, b, c))

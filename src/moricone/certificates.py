@@ -204,10 +204,15 @@ class GridCertificate:
                 raise CertificateError(
                     "the corner step must not carry a next-stratum class "
                     "(its continuations are the grid classes)")
-        for i in range(c, a + 1):
-            for j in range(c, b + 1):
-                if (i, j) not in self.cells:
-                    raise CertificateError(f"missing grid cell ({i}, {j})")
+        grid = {(i, j) for i in range(c, a + 1) for j in range(c, b + 1)}
+        missing = grid - self.cells.keys()
+        if missing:
+            raise CertificateError(f"missing grid cell {min(missing)}")
+        outside = self.cells.keys() - grid
+        if outside:
+            raise CertificateError(
+                f"grid cells outside [{c}..{a}] x [{c}..{b}]: "
+                f"{sorted(outside)}")
         for i in range(c, a + 1):
             for j in range(c, b + 1):
                 cell = self.cells[(i, j)]
@@ -611,10 +616,15 @@ def _mat_out(m: Mat):
 
 
 def _vec_in(v) -> Vec:
+    # A string or an object is iterable too: "12" would read as (1, 2).
+    if not isinstance(v, list):
+        raise CertificateError(f"expected a JSON array, got {v!r}")
     return tuple(_num_in(x) for x in v)
 
 
 def _mat_in(m) -> Mat:
+    if not isinstance(m, list):
+        raise CertificateError(f"expected a JSON array of arrays, got {m!r}")
     return tuple(_vec_in(row) for row in m)
 
 
@@ -699,7 +709,10 @@ def _certificate_from_dict(data, kind):
     if kind == "grid":
         cells = {}
         for e in data["cells"]:
-            cells[(_int_in(e["i"]), _int_in(e["j"]))] = GridCell(
+            key = (_int_in(e["i"]), _int_in(e["j"]))
+            if key in cells:
+                raise CertificateError(f"grid cell {key} is listed twice")
+            cells[key] = GridCell(
                 stratum=_stratum_in(e, f"cell({e['i']},{e['j']})"),
                 right_class=_opt(_vec_in, e.get("right_class")),
                 right_map=_opt(_mat_in, e.get("right_map")),

@@ -41,13 +41,7 @@ class DimensionMismatchError(ConeError):
 
 class LinealityError(ConeError):
     """A cone that must be pointed (or span the space, for dualization)
-    fails to be; ``witness`` explains why.
-
-    * from ``cone_from_rays``: a tuple ``(coefficients, rays)`` giving a
-      nonzero nonnegative combination of the input rays equal to zero;
-    * from ``dual``: a nonzero vector orthogonal to every generator (so the
-      dual cone would contain the line it spans).
-    """
+    fails to be; ``witness`` explains why, as the raising function says."""
 
     def __init__(self, message: str, witness=None):
         super().__init__(message)
@@ -99,24 +93,18 @@ class PolyCone:
     """A rational polyhedral cone in V-form.
 
     ``rays`` are primitive integer vectors, distinct and sorted
-    lexicographically.  When ``canonical`` is true they are exactly the
-    extremal rays of a pointed cone; otherwise (from :func:`generated`) they
-    are a generating set that may hold redundant generators.
-    ``inequalities``, when present, is a valid H-description (every ``u``
-    with ``u . x >= 0`` on the cone); ``dual`` fills it in with the primal
-    generators.
+    lexicographically.  They are exactly the extremal rays of a pointed cone,
+    except from :func:`generated`, which keeps redundant generators.
     """
 
     dim: int
     rays: tuple[IntVector, ...]
-    inequalities: Optional[tuple[IntVector, ...]] = None
-    canonical: bool = True
 
 
 def generated(dim: int, vectors: Iterable[Sequence[Number]]) -> PolyCone:
     """The cone generated by ``vectors``: each rescaled to primitive form,
     zeros and duplicates dropped, sorted.  No LP runs, so redundant
-    generators stay and pointedness is not checked (``canonical=False``).
+    generators stay and pointedness is not checked.
 
     Raises :class:`DimensionMismatchError` if some vector has the wrong
     length.
@@ -130,7 +118,7 @@ def generated(dim: int, vectors: Iterable[Sequence[Number]]) -> PolyCone:
         p = primitive(rr)
         if not is_zero(p):
             cleaned.add(p)
-    return PolyCone(dim, tuple(sorted(cleaned)), canonical=False)
+    return PolyCone(dim, tuple(sorted(cleaned)))
 
 
 def cone_from_rays(dim: int, rays: Iterable[Sequence[Number]]) -> PolyCone:
@@ -139,7 +127,9 @@ def cone_from_rays(dim: int, rays: Iterable[Sequence[Number]]) -> PolyCone:
 
     Raises :class:`DimensionMismatchError` if some ray has the wrong length
     and :class:`LinealityError` if the generated cone contains a line (the
-    canonical extremal-ray form then does not exist).
+    canonical extremal-ray form then does not exist); its witness is a tuple
+    ``(coefficients, rays)`` giving a nonzero nonnegative combination of the
+    rays equal to zero.
     """
     keep = list(generated(dim, rays).rays)
     if not keep:
@@ -260,7 +250,7 @@ def dual(cone: PolyCone) -> PolyCone:
     """
     d = cone.dim
     if d == 0:
-        return PolyCone(0, (), inequalities=())
+        return PolyCone(0, ())
     rows = [tuple(r) for r in cone.rays]
     if not rows:
         raise LinealityError(
@@ -329,7 +319,7 @@ def dual(cone: PolyCone) -> PolyCone:
         for row in rows:
             if _idot(row, r) < 0:
                 raise AssertionError("double description produced an invalid ray")
-    return PolyCone(d, tuple(out), inequalities=tuple(rows))
+    return PolyCone(d, tuple(out))
 
 
 def _combinatorially_adjacent(z: int, masks: list[int]) -> bool:
@@ -566,9 +556,9 @@ class LPResult:
 
     ``point`` satisfies every constraint when feasible.  When infeasible,
     ``certificate`` gives one multiplier per constraint: nonnegative for
-    inequalities, any sign for equalities, such that the combined constraint
-    reads ``0 >= positive`` (or ``0 > 0`` using a strict row with positive
-    weight) — see :func:`check_infeasibility_certificate`.
+    ``>=`` and ``>`` rows, any sign for ``=`` rows, such that the combined
+    constraint reads ``0 >= positive`` (or ``0 > 0`` using a strict row with
+    positive weight) — see :func:`check_infeasibility_certificate`.
     """
 
     feasible: bool

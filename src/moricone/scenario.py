@@ -29,8 +29,6 @@ from .certificates import (
     Stratum,
     build_product_certificates,
     identity_matrix,
-    verify_HE_hypotheses,
-    verify_HEF_hypotheses,
 )
 from .cones import (
     LinearProgram,
@@ -38,7 +36,6 @@ from .cones import (
     check_infeasibility_certificate,
     cones_equal,
     constraint,
-    contains,
     dual,
     generated,
     lp_feasible,
@@ -469,7 +466,6 @@ def canonical_vector(s: Scenario) -> tuple[int, ...]:
 class RefutationResult:
     lp: LinearProgram
     certificate: tuple[Fraction, ...]
-    relaxed_point: tuple[Fraction, ...]
 
 
 def refutation_system(relaxed: bool = False) -> LinearProgram:
@@ -502,11 +498,7 @@ def _refutation() -> RefutationResult:
         raise AssertionError("refutation system unexpectedly feasible")
     if not check_infeasibility_certificate(lp, result.certificate):
         raise AssertionError("refutation certificate does not check")
-    relaxed = lp_feasible(refutation_system(relaxed=True))
-    if not relaxed.feasible:
-        raise AssertionError("relaxed system unexpectedly infeasible")
-    return RefutationResult(lp=lp, certificate=tuple(result.certificate),
-                            relaxed_point=tuple(relaxed.point))
+    return RefutationResult(lp=lp, certificate=tuple(result.certificate))
 
 
 def classify_all() -> dict[tuple[int, int], ClassificationResult]:
@@ -641,21 +633,3 @@ def t_divisor_certificates(s: Scenario) -> dict[str, ProductCertificates]:
         out[f"{n1.name}+H2-E"] = built
         out[f"{n1.name}+H2-E-F"] = built
     return out
-
-
-def t_certificates_agree_with_membership(s: Scenario) -> dict[str, dict]:
-    """Cross-validation: for each divisor in T, nefness by membership in the
-    dual of the curve cone must agree with the product-certificate verdict."""
-    nef = dual(ne_generators(s))
-    results = {}
-    for n1 in t1_divisors(s):
-        built = build_product_certificates(*factor_grids_for_t1(s, n1))
-        chain_ok = verify_HE_hypotheses(built.chain).ok
-        grid_ok = verify_HEF_hypotheses(built.grid).ok
-        for suffix, cert_ok in (("+H2-E", chain_ok), ("+H2-E-F", grid_ok)):
-            name = n1.name + suffix
-            vector = next(nv.vector for nv in t_divisors(s) if nv.name == name)
-            member = contains(nef, vector).member
-            results[name] = {"membership": member, "certificate": cert_ok,
-                             "agree": member == cert_ok}
-    return results

@@ -10,6 +10,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, isqrt
 
+from moricone import scenario as sc
+from moricone.certificates import (build_product_certificates,
+                                   verify_HE_hypotheses, verify_HEF_hypotheses)
+
 
 def _primitive(v):
     den = 1
@@ -123,3 +127,23 @@ def minus_one_multiset_counts(r):
                     classes.add((d,) + tuple(-m for m in perm))
         d += 1
     return classes
+
+
+def t_certificates_agree_with_membership(s):
+    """For each divisor in T, nefness by membership in dual(NE) must agree
+    with the product-certificate verdict.  Membership in the dual is by
+    definition a nonnegative pairing with every curve generator, so no
+    ``dual`` runs and every cell is cheap."""
+    curves = [c.vector for c in s.ne_curves()]
+    vectors = {nv.name: nv.vector for nv in sc.t_divisors(s)}
+    results = {}
+    for n1 in sc.t1_divisors(s):
+        built = build_product_certificates(*sc.factor_grids_for_t1(s, n1))
+        for suffix, verdict in (("+H2-E", verify_HE_hypotheses(built.chain)),
+                                ("+H2-E-F", verify_HEF_hypotheses(built.grid))):
+            name = n1.name + suffix
+            member = all(sum(a * b for a, b in zip(vectors[name], g)) >= 0
+                         for g in curves)
+            results[name] = {"membership": member, "certificate": verdict.ok,
+                             "agree": member == verdict.ok}
+    return results

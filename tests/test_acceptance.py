@@ -22,7 +22,8 @@ from moricone.cones import (LinealityError,
                             cones_equal, dual, lp_feasible)
 
 from .conftest import CERTS_DIR
-from .oracles import minus_one_multiset_counts
+from .oracles import (minus_one_multiset_counts,
+                      t_certificates_agree_with_membership)
 
 
 class stopwatch:
@@ -178,10 +179,10 @@ def test_criterion_08_shipped_certificates():
 
 
 def test_criterion_09_membership_certificate_cross_validation():
-    for r1 in range(4):
-        for r2 in range(7):
+    for r1 in range(sc.MAX_R1 + 1):
+        for r2 in range(sc.MAX_R2 + 1):
             s = sc.build_scenario(r1, r2)
-            results = sc.t_certificates_agree_with_membership(s)
+            results = t_certificates_agree_with_membership(s)
             assert len(results) == 2 * len(sc.t1_divisors(s))
             for name, res in results.items():
                 assert res["agree"], (r1, r2, name)
@@ -218,6 +219,6 @@ def test_criterion_10_property_suites():
         for a in range(2, 9):
             for b in range(2, 9):
                 for cc in range(1, min(a, b) + 1):
-                    total = blowup.conormal_restricted(a, b, cc)
-                    assert total.total_multiplicity() == b
+                    degrees = blowup.conormal_restricted(a, b, cc)
+                    assert sum(degrees.values()) == b
                     assert blowup.minus_EF_nef_on_fiber(a, b, cc)

@@ -2,10 +2,7 @@ import pytest
 
 from moricone.blowup import (
     ConstructionParams,
-    DegreeMultiset,
     classify,
-    conormal_fiber,
-    conormal_linear,
     conormal_restricted,
     fiber_structure,
     k_degree,
@@ -153,31 +150,13 @@ def test_classification_grid_invariants(a, b):
 
 
 # ---------------------------------------------------------------------------
-# conormal degree multisets
+# restricted conormal degrees
 # ---------------------------------------------------------------------------
 
-def test_conormal_linear():
-    assert conormal_linear(4, 0).as_dict() == {}
-    assert conormal_linear(4, 1).as_dict() == {-1: 1}
-    assert conormal_linear(5, 3).as_dict() == {-1: 3}
-    with pytest.raises(ValueError):
-        conormal_linear(2, 3)
-    with pytest.raises(ValueError):
-        conormal_linear(2, -1)
-
-
-def test_conormal_fiber():
-    assert conormal_fiber(0).as_dict() == {1: 1}
-    assert conormal_fiber(1).as_dict() == {1: 1, 0: 1}
-    assert conormal_fiber(4).as_dict() == {1: 1, 0: 4}
-    with pytest.raises(ValueError):
-        conormal_fiber(-1)
-
-
 def test_conormal_restricted():
-    assert conormal_restricted(2, 2, 1).as_dict() == {0: 1, -1: 1}
-    assert conormal_restricted(4, 3, 2).as_dict() == {0: 1, -1: 2}
-    assert conormal_restricted(3, 3, 3).as_dict() == {-1: 3}
+    assert conormal_restricted(2, 2, 1) == {0: 1, -1: 1}
+    assert conormal_restricted(4, 3, 2) == {0: 1, -1: 2}
+    assert conormal_restricted(3, 3, 3) == {-1: 3}
     with pytest.raises(ValueError):
         conormal_restricted(4, 3, 0)
     with pytest.raises(ValueError):
@@ -188,18 +167,7 @@ def test_conormal_restricted_total_is_rank():
     for a in range(2, 9):
         for b in range(2, 9):
             for c in range(1, min(a, b) + 1):
-                assert conormal_restricted(a, b, c).total_multiplicity() == b
-
-
-def test_degree_multiset_validation():
-    with pytest.raises(ValueError):
-        DegreeMultiset(((0, -1),))
-    with pytest.raises(ValueError):
-        DegreeMultiset(((0, 1), (0, 2)))
-    m = DegreeMultiset(((2, 1), (0, 0), (-1, 3)))
-    assert m.as_dict() == {2: 1, -1: 3}
-    assert m.shifted(1).as_dict() == {3: 1, 0: 3}
-    assert m.min_degree() == -1
+                assert sum(conormal_restricted(a, b, c).values()) == b
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +194,8 @@ def test_fiber_structure_one_component_iff_b_equals_c():
 
 def test_minus_EF_nef_on_fiber_always_true():
     assert minus_EF_nef_on_fiber(4, 3, 2)
-    shifted = conormal_restricted(4, 3, 2).shifted(1)
-    assert shifted.as_dict() == {1: 1, 0: 2}
+    twisted = {d + 1: m for d, m in conormal_restricted(4, 3, 2).items()}
+    assert twisted == {1: 1, 0: 2}
     for a in range(2, 9):
         for b in range(2, 9):
             for c in range(1, min(a, b) + 1):

@@ -157,6 +157,53 @@ def test_cert_verify_vacuous_oracles_is_input_error(tmp_path, kind, curves):
     assert _verify_doc(tmp_path, doc) == EXIT_ERROR
 
 
+def _vector_slot(doc, slot):
+    """(container, key) of the divisor, of the first row of the first step's
+    oracle curves or restriction, or of a grid cell's empty matrix."""
+    if slot == "divisor":
+        return doc, "divisor"
+    if slot.startswith("empty_"):
+        field = slot[len("empty_"):]
+        return next(e for e in doc["cells"] if e[field] == []), field
+    first = (doc["steps"] if doc["kind"] == "chain" else doc["outer"])[0]
+    return first[slot], 0
+
+
+@pytest.mark.parametrize("form", [lambda row: "".join(map(str, row)),
+                                  lambda row: dict.fromkeys(map(str, row), 0)],
+                         ids=["string", "object"])
+@pytest.mark.parametrize("kind,slot", [
+    *((kind, slot) for kind in ("chain", "grid")
+      for slot in ("divisor", "oracle_curves", "restriction")),
+    ("grid", "empty_oracle_curves"), ("grid", "empty_right_map")])
+def test_cert_verify_non_array_vector_is_input_error(tmp_path, kind, slot,
+                                                     form):
+    # A digit string or an object iterates like the row it spells out:
+    # "12" as (1, 2), {"1": 0, "2": 0} by its keys, "" and {} as an empty
+    # matrix.  Only an array is a row or a matrix.
+    doc = json.loads((_CERTS / f"tsukioka_2_2_2_{kind}.json").read_text())
+    owner, key = _vector_slot(doc, slot)
+    row = owner[key]
+    owner[key] = form(row)
+    assert [int(x) for x in owner[key]] == row
+    assert _verify_doc(tmp_path, doc) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("change", ["repeated", "beyond_a", "before_c"])
+def test_cert_verify_grid_needs_exact_cell_set(tmp_path, change):
+    # A repeated cell would silently replace the first copy, and a cell
+    # outside [c..a] x [c..b] would never be read.
+    doc = json.loads((_CERTS / "tsukioka_2_2_2_grid.json").read_text())
+    assert _verify_doc(tmp_path, doc) == EXIT_VERIFIED
+    extra = dict(doc["cells"][0])
+    if change == "beyond_a":
+        extra["i"] = doc["a"] + 1
+    elif change == "before_c":
+        extra["j"] = doc["c"] - 1
+    doc["cells"].append(extra)
+    assert _verify_doc(tmp_path, doc) == EXIT_ERROR
+
+
 _DELETE = object()
 _JUNK = (None, True, 1.5, "1/0", [], {}, 10**30, -10**30, _DELETE)
 _SHIPPED = sorted(_CERTS.glob("*.json"))

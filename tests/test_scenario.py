@@ -14,7 +14,8 @@ from moricone.cones import (check_infeasibility_certificate,
                             cone_from_rays, cones_equal, contains, dual,
                             lp_feasible)
 
-from .oracles import dual_by_facet_enumeration
+from .oracles import (dual_by_facet_enumeration,
+                      t_certificates_agree_with_membership)
 
 # ---------------------------------------------------------------------------
 # catalog structure
@@ -315,7 +316,7 @@ def test_refutation_all_r2(r2):
     assert all(m >= 0 for m in res.certificate)
     # the relaxed system admits the boundary point
     relaxed = sc.refutation_system(relaxed=True)
-    pt = res.relaxed_point
+    pt = lp_feasible(relaxed).point
     for c in relaxed.constraints:
         val = sum(a * x for a, x in zip(c.coeffs, pt))
         assert val >= c.bound
@@ -372,7 +373,7 @@ def test_t_certificates_verify(r1, r2):
 @pytest.mark.parametrize("r1,r2", [(0, 0), (1, 1), (3, 2), (2, 4)])
 def test_t_certificates_agree_with_membership(r1, r2):
     s = sc.build_scenario(r1, r2)
-    results = sc.t_certificates_agree_with_membership(s)
+    results = t_certificates_agree_with_membership(s)
     assert results
     for name, res in results.items():
         assert res["agree"], name
