@@ -58,7 +58,6 @@ from .scenario import (  # noqa: F401
     build_scenario,
     classify,
     classify_all,
-    curve_identities,
     delta_certificate,
     ne_generators,
     nef_generators_claimed,

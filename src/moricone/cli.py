@@ -190,8 +190,9 @@ def _cmd_dp_classify_all(args):
             if not res.weak_fano and "not_weak_fano" in res.witnesses:
                 cell["witness"] = res.witnesses["not_weak_fano"]
             cells.append(cell)
-    lines = ["| r1 \\ r2 | " + " | ".join(str(r2) for r2 in range(9)) + " |",
-             "|---" * 10 + "|"]
+    columns = range(sc.MAX_R2 + 1)
+    lines = ["| r1 \\ r2 | " + " | ".join(str(r2) for r2 in columns) + " |",
+             "|---" * (len(columns) + 1) + "|"]
     for r1 in range(sc.MAX_R1 + 1):
         row = [f"| {r1} "]
         for r2 in range(sc.MAX_R2 + 1):
@@ -233,9 +234,21 @@ def _verify_loaded_certificate(cert):
     return verify_chain(cert), "nefness on the root space"
 
 
+def _failing_check(rec) -> dict:
+    """The witness of a failed certificate check."""
+    return {"location": rec.location, "value": rec.value,
+            "witness_curve": rec.witness_curve,
+            "witness_pairing": rec.witness_pairing}
+
+
 def _cmd_cert_verify(args):
     with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # The decoder recurses once per nesting level.
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
     cert = certificate_from_dict(data)
     verdict, what = _verify_loaded_certificate(cert)
     lines = [f"certificate kind: {what}",
@@ -249,11 +262,7 @@ def _cmd_cert_verify(args):
         lines.append(f"REFUTED at {rec.location}: value {_fmt(rec.value)} "
                      f"pairs {_fmt(rec.witness_pairing)} with curve "
                      f"{_fmt(rec.witness_curve)}")
-        witnesses["failing_check"] = {
-            "location": rec.location, "value": rec.value,
-            "witness_curve": rec.witness_curve,
-            "witness_pairing": rec.witness_pairing,
-        }
+        witnesses["failing_check"] = _failing_check(rec)
         code = EXIT_REFUTED
     verdicts = {"certificate": "verified" if verdict.ok else "refuted",
                 "checks": len(verdict.checks)}
@@ -283,10 +292,7 @@ def _cmd_cert_example(args):
     witnesses = {}
     for tag, v in (("chain", chain_v), ("grid", grid_v)):
         if not v.ok:
-            rec = v.failure
-            witnesses[tag] = {"location": rec.location, "value": rec.value,
-                              "witness_curve": rec.witness_curve,
-                              "witness_pairing": rec.witness_pairing}
+            witnesses[tag] = _failing_check(v.failure)
     extra = {"chain_certificate": certificate_to_dict(built.chain),
              "grid_certificate": certificate_to_dict(built.grid)}
     return (EXIT_VERIFIED if ok else EXIT_REFUTED), lines, extra, verdicts, witnesses

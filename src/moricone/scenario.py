@@ -11,12 +11,25 @@ divisor coefficient vector with a curve is a plain dot product, the cone of
 curves and the nef cone are exact duals, and every claim (cone equality,
 Fano/weak Fano/Fano-type classification, the supporting linear-program
 refutation) can be verified with the exact cone engine.
+
+The catalog is e (the fiber of E over the first center), f (the fiber of F)
+and one curve per factor NE generator, by one lift rule (:func:`_lift`):
+
+* factor 1: each generator of NE(dP_{r1+1}), where the extra point is the
+  point of the first center, puts its pairing row on the H1/E1 slots and its
+  multiplicity at the extra point on E.  The extra point's exceptional class
+  E0 is not lifted, since it splits as e + f;
+* factor 2: each generator of NE(dP_{r2}) puts its pairing row on the H2/E2
+  slots and its degree on E.
+
+The trust base is :func:`delpezzo.ne_generators`: NE(dP_r) is generated by
+the (-1)-classes for r >= 2, by E1 and H - E1 for r = 1, and by H for r = 0.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -47,13 +60,12 @@ MAX_R2 = 8
 
 @dataclass(frozen=True)
 class Curve:
-    """A catalog curve: its name, intersection vector, whether it belongs to
-    the claimed generating set of the cone of curves, and (for curves lifted
-    from a factor surface) the factor index and surface class."""
+    """A catalog curve: its name, its intersection vector and, for a curve
+    over a factor surface, the factor index and the surface class it lies
+    over."""
 
     name: str
     vector: tuple[int, ...]
-    in_ne_set: bool
     factor: int = 0
     factor_class: Optional[tuple[int, ...]] = None
 
@@ -90,7 +102,8 @@ class Scenario:
         raise KeyError(name)
 
     def ne_curves(self) -> tuple[Curve, ...]:
-        return tuple(c for c in self.curves if c.in_ne_set)
+        """The claimed generators of the cone of curves: every curve."""
+        return self.curves
 
     # slot indices into the divisor basis
     @property
@@ -121,65 +134,50 @@ def build_scenario(r1: int, r2: int) -> Scenario:
         raise ValueError(f"first factor needs 0 <= r1 <= {MAX_R1}, got {r1}")
     if not (0 <= r2 <= MAX_R2):
         raise ValueError(f"second factor needs 0 <= r2 <= {MAX_R2}, got {r2}")
-    rho = 4 + r1 + r2
     names = (["H1"] + [f"E1_{j}" for j in range(1, r1 + 1)]
              + ["H2"] + [f"E2_{j}" for j in range(1, r2 + 1)]
              + ["E", "F"])
-    idx = {n: k for k, n in enumerate(names)}
+    s = Scenario(r1=r1, r2=r2, basis_names=tuple(names), curves=())
+    e, f = [0] * s.rho, [0] * s.rho
+    e[s.idx_e], e[s.idx_f], f[s.idx_f] = -1, 1, -1
+    curves = [Curve("e", tuple(e)), Curve("f", tuple(f))]
 
-    def vec(entries: dict[str, int]) -> tuple[int, ...]:
-        v = [0] * rho
-        for n, x in entries.items():
-            v[idx[n]] = x
-        return tuple(v)
+    # E0 = e + f, so the extra point's exceptional class is not lifted.
+    e0 = (0,) * (r1 + 1) + (1,)
+    for cls in delpezzo.ne_generators(delpezzo.build(r1 + 1)):
+        if cls != e0:
+            name = ("l1" if cls[-1] else "e1") + _points(cls[1:-1])
+            curves.append(Curve(name, _lift(s, 1, cls), 1, cls[:-1]))
+    # (-1)-classes are named by position, H (r2 = 0) and H - E1 (r2 = 1) by
+    # the points they pass through.
+    lattice2 = delpezzo.build(r2)
+    for k, cls in enumerate(delpezzo.ne_generators(lattice2), 1):
+        minus_one = delpezzo.pair(lattice2, cls, cls) == -1
+        name = f"e2_{k}" if minus_one else "l2" + _points(cls[1:])
+        curves.append(Curve(name, _lift(s, 2, cls), 2, cls))
+    return replace(s, curves=tuple(curves))
 
-    curves: list[Curve] = [
-        Curve("e", vec({"E": -1, "F": 1}), True),
-        Curve("f", vec({"F": -1}), True),
-    ]
 
-    # factor 1 curves
-    curves.append(Curve("l1", vec({"H1": 1, "E": 1}), r1 == 0, factor=1,
-                        factor_class=(1,) + (0,) * r1))
-    for j in range(1, r1 + 1):
-        cls = tuple(1 if k == 0 else (-1 if k == j else 0)
-                    for k in range(r1 + 1))
-        curves.append(Curve(f"l1_{j}",
-                            vec({"H1": 1, f"E1_{j}": 1, "E": 1}), True,
-                            factor=1, factor_class=cls))
-        ecls = tuple(1 if k == j else 0 for k in range(r1 + 1))
-        curves.append(Curve(f"e1_{j}", vec({f"E1_{j}": -1}), True,
-                            factor=1, factor_class=ecls))
-    for j1 in range(1, r1 + 1):
-        for j2 in range(j1 + 1, r1 + 1):
-            cls = tuple(1 if k == 0 else (-1 if k in (j1, j2) else 0)
-                        for k in range(r1 + 1))
-            curves.append(Curve(
-                f"e1_{j1}{j2}",
-                vec({"H1": 1, f"E1_{j1}": 1, f"E1_{j2}": 1}), True,
-                factor=1, factor_class=cls))
+def _points(multiplicities: Sequence[int]) -> str:
+    """Name suffix listing the points j whose E_j enters a class: "_12" for
+    H - E_1 - E_2, "_1" for E_1, "" for H."""
+    through = "".join(str(j) for j, m in enumerate(multiplicities, 1) if m)
+    return f"_{through}" if through else ""
 
-    # factor 2 curves
-    curves.append(Curve("l2", vec({"H2": 1, "E": 1}), r2 == 0, factor=2,
-                        factor_class=(1,) + (0,) * r2))
-    for j in range(1, r2 + 1):
-        cls = tuple(1 if k == 0 else (-1 if k == j else 0)
-                    for k in range(r2 + 1))
-        curves.append(Curve(f"l2_{j}",
-                            vec({"H2": 1, f"E2_{j}": 1, "E": 1}),
-                            r2 == 1, factor=2, factor_class=cls))
-    if r2 >= 1:
-        lattice2 = delpezzo.build(r2)
-        for k, cls in enumerate(delpezzo.minus_one_classes(lattice2), 1):
-            row = delpezzo.pairing_row(cls)
-            entries = {"H2": cls[0], "E": cls[0]}
-            for j in range(1, r2 + 1):
-                entries[f"E2_{j}"] = row[j]
-            curves.append(Curve(f"e2_{k}", vec(entries), r2 >= 1,
-                                factor=2, factor_class=cls))
 
-    return Scenario(r1=r1, r2=r2, basis_names=tuple(names),
-                    curves=tuple(curves))
+def _lift(s: Scenario, factor: int, cls: Sequence[int]) -> tuple[int, ...]:
+    """The intersection vector of the curve of X over a factor class.
+
+    Factor 1: ``cls`` is a class of dP_{r1+1}, the first factor blown up
+    also at the point of the first center.  Its pairing row goes on the
+    H1/E1 slots and its multiplicity at that extra point (the row's last
+    entry) on E.  Factor 2: ``cls`` is a class of dP_{r2}.  Its pairing row
+    goes on the H2/E2 slots and its degree on E.
+    """
+    row = delpezzo.pairing_row(cls)
+    v = list(_embed_factor(s, factor, row))
+    v[s.idx_e] = row[-1] if factor == 1 else cls[0]
+    return tuple(v)
 
 
 def pairing(divisor: Sequence, curve_vector: Sequence):
@@ -300,12 +298,12 @@ def _block_split(s: Scenario) -> tuple[Optional[dict], Optional[dict], list]:
     """Split the curve generators along the second factor.
 
     Returns ``(lift_witness, unlifted_witness, reduced)``.  Every
-    second-factor curve must be the lift of a distinct NE(S2) generator c:
-    the surface pairing row of c on the H2/E2 slots, the degree of c on E and
-    zero elsewhere.  Every other curve must be zero on the H2/E2 slots; it is
-    kept in ``reduced`` with those slots dropped.  ``lift_witness`` names the
-    first curve that breaks this, ``unlifted_witness`` an NE(S2) generator
-    that no curve lifts.
+    second-factor curve must be the lift of a distinct NE(S2) generator c by
+    :func:`_lift`: the surface pairing row of c on the H2/E2 slots, the
+    degree of c on E and zero elsewhere.  Every other curve must be zero on
+    the H2/E2 slots; it is kept in ``reduced`` with those slots dropped.
+    ``lift_witness`` names the first curve that breaks this,
+    ``unlifted_witness`` an NE(S2) generator that no curve lifts.
     """
     unlifted = set(delpezzo.ne_generators(s.lattice2))
     reduced = []
@@ -320,9 +318,7 @@ def _block_split(s: Scenario) -> tuple[Optional[dict], Optional[dict], list]:
             return ({"curve": c.name,
                      "reason": "not an NE(S2) generator, or lifted twice"}, None, [])
         unlifted.remove(c.factor_class)
-        lift = list(_embed_factor(s, 2, delpezzo.pairing_row(c.factor_class)))
-        lift[s.idx_e] = c.factor_class[0]
-        if tuple(lift) != c.vector:
+        if _lift(s, 2, c.factor_class) != c.vector:
             return {"curve": c.name, "reason": "lift rule violated"}, None, []
     if unlifted:
         return None, {"factor_class": min(unlifted),
@@ -504,61 +500,6 @@ def _refutation() -> RefutationResult:
 def classify_all() -> dict[tuple[int, int], ClassificationResult]:
     return {(r1, r2): classify(build_scenario(r1, r2))
             for r1 in range(MAX_R1 + 1) for r2 in range(MAX_R2 + 1)}
-
-
-# ---------------------------------------------------------------------------
-# curve identities
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    description: str
-    ok: bool
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    ok: bool
-    checks: tuple[IdentityCheck, ...]
-
-
-def _lift_by_class(s: Scenario, cls: tuple[int, ...]) -> Curve:
-    for c in s.curves:
-        if c.factor == 2 and c.factor_class == cls and c.name.startswith("e2"):
-            return c
-    raise KeyError(cls)
-
-
-def curve_identities(s: Scenario) -> IdentityReport:
-    """Decomposition identities among catalog curves, verified as exact
-    equalities of intersection vectors."""
-    checks = []
-
-    def add(desc, lhs, rhs):
-        checks.append(IdentityCheck(desc, lhs == rhs))
-
-    for j in range(1, s.r1 + 1):
-        lhs = s.curve("l1").vector
-        rhs = tuple(a + b for a, b in zip(s.curve(f"l1_{j}").vector,
-                                          s.curve(f"e1_{j}").vector))
-        add(f"l1 = l1_{j} + e1_{j}", lhs, rhs)
-    for j in range(1, s.r2 + 1):
-        ecls = tuple(1 if k == j else 0 for k in range(s.r2 + 1))
-        lhs = s.curve("l2").vector
-        rhs = tuple(a + b for a, b in zip(s.curve(f"l2_{j}").vector,
-                                          _lift_by_class(s, ecls).vector))
-        add(f"l2 = l2_{j} + e2({ecls})", lhs, rhs)
-    if s.r2 >= 2:
-        for j in range(1, s.r2 + 1):
-            jp = 1 if j != 1 else 2
-            ecls = tuple(1 if k == jp else 0 for k in range(s.r2 + 1))
-            ccls = tuple(1 if k == 0 else (-1 if k in (j, jp) else 0)
-                         for k in range(s.r2 + 1))
-            lhs = s.curve(f"l2_{j}").vector
-            rhs = tuple(a + b for a, b in zip(_lift_by_class(s, ecls).vector,
-                                              _lift_by_class(s, ccls).vector))
-            add(f"l2_{j} = e2({ecls}) + e2({ccls})", lhs, rhs)
-    return IdentityReport(ok=all(c.ok for c in checks), checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------

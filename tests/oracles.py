@@ -129,6 +129,53 @@ def minus_one_multiset_counts(r):
     return classes
 
 
+def reference_catalog(r1, r2):
+    """The cone-of-curves generators of cell (r1, r2), written out by hand
+    as (name, vector, factor, factor_class) rather than lifted by one rule.
+
+    Basis (H1, E1_*, H2, E2_*, E, F).  Besides e and f: the line l1 (r1 = 0),
+    the lines l1_j through the j-th point and the first center's point, the
+    exceptional curves e1_j and the lines e1_jk through two points; then the
+    line l2 (r2 = 0), the fiber l2_1 (r2 = 1) and the lifts e2_k of the
+    (-1)-classes, numbered in sorted order.
+    """
+    names = (["H1"] + [f"E1_{j}" for j in range(1, r1 + 1)]
+             + ["H2"] + [f"E2_{j}" for j in range(1, r2 + 1)] + ["E", "F"])
+    idx = {n: k for k, n in enumerate(names)}
+
+    def vec(entries):
+        v = [0] * len(names)
+        for n, x in entries.items():
+            v[idx[n]] = x
+        return tuple(v)
+
+    def line(r, *through):
+        return (1,) + tuple(-1 if k in through else 0 for k in range(1, r + 1))
+
+    out = [("e", vec({"E": -1, "F": 1}), 0, None),
+           ("f", vec({"F": -1}), 0, None)]
+    if r1 == 0:
+        out.append(("l1", vec({"H1": 1, "E": 1}), 1, (1,)))
+    for j in range(1, r1 + 1):
+        out.append((f"l1_{j}", vec({"H1": 1, f"E1_{j}": 1, "E": 1}), 1,
+                    line(r1, j)))
+        out.append((f"e1_{j}", vec({f"E1_{j}": -1}), 1,
+                    tuple(int(k == j) for k in range(r1 + 1))))
+    for j1, j2 in combinations(range(1, r1 + 1), 2):
+        out.append((f"e1_{j1}{j2}",
+                    vec({"H1": 1, f"E1_{j1}": 1, f"E1_{j2}": 1}), 1,
+                    line(r1, j1, j2)))
+    if r2 == 0:
+        out.append(("l2", vec({"H2": 1, "E": 1}), 2, (1,)))
+    if r2 == 1:
+        out.append(("l2_1", vec({"H2": 1, "E2_1": 1, "E": 1}), 2, (1, -1)))
+    for k, cls in enumerate(sorted(minus_one_multiset_counts(r2)), 1):
+        entries = {"H2": cls[0], "E": cls[0]}
+        entries.update({f"E2_{j}": -cls[j] for j in range(1, r2 + 1)})
+        out.append((f"e2_{k}", vec(entries), 2, cls))
+    return out
+
+
 def t_certificates_agree_with_membership(s):
     """For each divisor in T, nefness by membership in dual(NE) must agree
     with the product-certificate verdict.  Membership in the dual is by

@@ -97,6 +97,14 @@ def test_cert_verify_malformed_json(tmp_path):
     assert run(["cert", "verify", str(p)]) == EXIT_ERROR
 
 
+def test_cert_verify_deeply_nested_json_is_input_error(tmp_path, capsys):
+    # Nesting deeper than the decoder's recursion limit is malformed input.
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    assert run(["cert", "verify", str(p)]) == EXIT_ERROR
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_cert_verify_bad_schema(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"kind": "grid", "a": 1}))

@@ -14,7 +14,7 @@ from moricone.cones import (check_infeasibility_certificate,
                             cone_from_rays, cones_equal, contains, dual,
                             lp_feasible)
 
-from .oracles import (dual_by_facet_enumeration,
+from .oracles import (dual_by_facet_enumeration, reference_catalog,
                       t_certificates_agree_with_membership)
 
 # ---------------------------------------------------------------------------
@@ -51,12 +51,18 @@ def test_catalog_0_0():
 def test_catalog_0_1():
     s = sc.build_scenario(0, 1)
     names = [c.name for c in s.ne_curves()]
-    assert names == ["e", "f", "l1", "l2_1", "e2_1"]
+    assert names == ["e", "f", "l1", "e2_1", "l2_1"]
     # basis (H1, H2, E2_1, E, F)
     assert s.curve("l2_1").vector == (0, 1, 1, 1, 0)
     assert s.curve("e2_1").vector == (0, 0, -1, 0, 0)
-    # l2 is cataloged for identities but not a claimed generator
-    assert not s.curve("l2").in_ne_set
+
+
+def test_catalog_matches_reference_on_all_cells():
+    for r1 in range(sc.MAX_R1 + 1):
+        for r2 in range(sc.MAX_R2 + 1):
+            built = [(c.name, c.vector, c.factor, c.factor_class)
+                     for c in sc.build_scenario(r1, r2).ne_curves()]
+            assert sorted(built) == sorted(reference_catalog(r1, r2)), (r1, r2)
 
 
 def test_ne_set_sizes():
@@ -243,8 +249,6 @@ def test_anticanonical_pairings_frozen():
                 "e1_1": 1, "e1_12": 1, "l2_1": 0, "e2_1": 1}
     for name, val in expected.items():
         assert sc.pairing(mk, s.curve(name).vector) == val, name
-    # l1 itself (decomposable here, kept for identities) pairs to 1
-    assert sc.pairing(mk, s.curve("l1").vector) == 1
 
 
 def test_minus_k_negative_curve_r2_2():
@@ -327,32 +331,6 @@ def test_refutation_strictness_is_essential():
     relaxed = lp_feasible(sc.refutation_system(relaxed=True))
     assert not strict.feasible
     assert relaxed.feasible
-
-
-# ---------------------------------------------------------------------------
-# curve identities
-# ---------------------------------------------------------------------------
-
-def test_identities_all_cells():
-    for r1 in range(4):
-        for r2 in range(9):
-            rep = sc.curve_identities(sc.build_scenario(r1, r2))
-            assert rep.ok, (r1, r2, [c for c in rep.checks if not c.ok])
-
-
-def test_identity_counts():
-    assert len(sc.curve_identities(sc.build_scenario(0, 0)).checks) == 0
-    assert len(sc.curve_identities(sc.build_scenario(1, 1)).checks) == 2
-    assert len(sc.curve_identities(sc.build_scenario(3, 2)).checks) == 7
-
-
-def test_identity_example_0_2():
-    # l2_1 decomposes against the lifts of E2 and |H - E1 - E2|
-    s = sc.build_scenario(0, 2)
-    e_second = sc._lift_by_class(s, (0, 0, 1)).vector
-    conic = sc._lift_by_class(s, (1, -1, -1)).vector
-    total = tuple(a + b for a, b in zip(e_second, conic))
-    assert total == s.curve("l2_1").vector
 
 
 # ---------------------------------------------------------------------------
