@@ -246,7 +246,11 @@ def dual(cone: PolyCone) -> PolyCone:
     on every call and raise :class:`AssertionError` (not ``assert``, so
     ``python -O`` keeps them): the kernel witness is orthogonal to every
     generator, the scaled inverse is integral, and every output ray pairs
-    nonnegatively with every generator.
+    nonnegatively with every generator.  The last one checks every (ray,
+    generator) pair with one big-integer product per ray: the generators
+    are packed into ``W``-bit digits, ``W`` one more than the bit length
+    of ``d * max|generator entry| * max|ray entry|``, so no pairing can
+    carry into the next digit (:func:`_check_pairings_nonnegative`).
     """
     d = cone.dim
     if d == 0:
@@ -314,12 +318,40 @@ def dual(cone: PolyCone) -> PolyCone:
         processed += 1
 
     out = sorted(set(rays_cur))
-    # Cheap exactness guard: every output ray must satisfy every constraint.
-    for r in out:
-        for row in rows:
-            if _idot(row, r) < 0:
-                raise AssertionError("double description produced an invalid ray")
+    _check_pairings_nonnegative(rows, out)
     return PolyCone(d, tuple(out))
+
+
+def _check_pairings_nonnegative(rows: Sequence[IntVector],
+                                rays: Sequence[IntVector]) -> None:
+    """Raise :class:`AssertionError` unless ``row . r >= 0`` for every row
+    and every ray.  One big-integer pairing per ray decides all its rows
+    (Kronecker substitution).
+
+    Let ``bound = d * max|row entry| * max|ray entry|`` and
+    ``W = bound.bit_length() + 1``, so every pairing has
+    ``|rows[i] . r| <= bound < 2**(W-1)``.  Column ``j`` packs the rows'
+    ``j``-th entries as ``cols[j] = sum_i rows[i][j] << (W*i)``, and ``top``
+    has ``2**(W-1)`` in every ``W``-bit digit.  Then
+    ``packed = sum_j r[j] * cols[j] + top = sum_i (rows[i] . r + 2**(W-1))
+    << (W*i)``, and every coefficient lies in ``[1, 2**W)``.  So ``packed``
+    is written in base ``2**W`` with no carry or borrow, its ``i``-th digit
+    is ``rows[i] . r + 2**(W-1)``, and that digit's top bit is set exactly
+    when ``rows[i] . r >= 0``.  A ray passes iff ``packed & top == top``.
+    """
+    d = len(rows[0])
+    bound = (d * max(abs(x) for row in rows for x in row)
+             * max(abs(x) for r in rays for x in r))
+    w = bound.bit_length() + 1
+    cols = [0] * d
+    ones = 0
+    for row in reversed(rows):
+        cols = [(c << w) + x for c, x in zip(cols, row)]
+        ones = (ones << w) + 1
+    top = ones << (w - 1)
+    for r in rays:
+        if (sum(map(mul, r, cols)) + top) & top != top:
+            raise AssertionError("double description produced an invalid ray")
 
 
 def _combinatorially_adjacent(z: int, masks: list[int]) -> bool:

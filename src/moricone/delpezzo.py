@@ -10,6 +10,7 @@ is all the downstream cone computations consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .cones import DimensionMismatchError, PolyCone, dual, generated
@@ -50,6 +51,7 @@ def pair(L: DelPezzoLattice, u: Sequence, v: Sequence):
     return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
 
 
+@cache
 def minus_one_classes(L: DelPezzoLattice) -> tuple[tuple[int, ...], ...]:
     """All classes D with D.D = -1 and D.K = -1, sorted.
 
@@ -57,7 +59,9 @@ def minus_one_classes(L: DelPezzoLattice) -> tuple[tuple[int, ...], ...]:
     ``sum(m_j) = 3d - 1`` and ``sum(m_j^2) = d^2 + 1``; Cauchy-Schwarz then
     bounds the degree by ``(3d-1)^2 <= r (d^2+1)``, and each multiplicity
     lies in [-1, d].  The search is an exhaustive DFS over multiplicities
-    with partial-sum pruning.
+    with partial-sum pruning.  Results are cached per lattice; there are
+    at most ``MAX_POINTS + 1`` lattices, and a tuple of tuples cannot be
+    mutated by a caller.
     """
     r = L.r
     out: list[tuple[int, ...]] = []

@@ -3,10 +3,11 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from moricone import cones, delpezzo
 from moricone.cones import (
@@ -373,6 +374,62 @@ def test_final_guard_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == \
         "False double description produced an invalid ray"
+
+
+def _packed_guard_passes(rows, rays):
+    try:
+        cones._check_pairings_nonnegative(rows, rays)
+    except AssertionError as e:
+        assert str(e) == "double description produced an invalid ray"
+        return False
+    return True
+
+
+@st.composite
+def pairing_cases(draw):
+    """Rows and rays with entries up to 2**80 in size, one pairing pinned
+    to 0, -1 or +1 by solving for a ray entry when ``target`` is set."""
+    d = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-2, 2),
+                      st.integers(-2 ** 80, 2 ** 80))
+    vec = st.lists(entry, min_size=d, max_size=d)
+    rows = draw(st.lists(vec, min_size=1, max_size=5))
+    rays = draw(st.lists(vec, min_size=1, max_size=5))
+    target = draw(st.sampled_from([None, -1, 0, 1]))
+    if target is not None:
+        i = draw(st.integers(0, len(rows) - 1))
+        k = draw(st.integers(0, len(rays) - 1))
+        rows[i][0] = 1
+        rays[k][0] = target - sum(map(mul, rows[i][1:], rays[k][1:]))
+    return [tuple(v) for v in rows], [tuple(v) for v in rays]
+
+
+@given(pairing_cases())
+@example(([(1,)], [(0,)]))
+@example(([(1,)], [(-1,)]))
+@example(([(-(2 ** 80),)], [(2 ** 80,)]))
+@example(([(2 ** 80, 1)], [(-1, 2 ** 80 - 1)]))
+def test_packed_guard_matches_all_pairs_predicate(case):
+    rows, rays = case
+    expected = all(sum(map(mul, row, r)) >= 0 for r in rays for row in rows)
+    assert _packed_guard_passes(rows, rays) == expected
+
+
+@pytest.mark.parametrize("broken", [0, -1])
+def test_packed_guard_digit_boundaries(broken):
+    """One row, the first (lowest digit) or the last (highest digit), pairs
+    to -1 with the ray; every other pairing is the largest the bound
+    ``d * max|row entry| * max|ray entry|`` allows, so any carry out of a
+    digit would show.  Pinning that row's pairing to 0 instead must pass."""
+    big = 2 ** 80 + 3
+    ray = (1, 1, 1)
+    rows = [(big, big, big)] * 4
+    for last, ok in ((-1, False), (0, True)):
+        edited = list(rows)
+        edited[broken] = (big, -big, last)
+        pairings = [sum(map(mul, row, ray)) for row in edited]
+        assert pairings.count(3 * big) == 3 and min(pairings) == last
+        assert _packed_guard_passes(edited, [ray]) is ok
 
 
 # ---------------------------------------------------------------------------
