@@ -3,7 +3,7 @@
 The first blowup has center A'' of codimension a, the second the strict
 transform of B'' (codimension b); the centers meet in Z'' with components of
 codimension a + b - c_i.  Everything the classifier needs is carried by the
-triple (a, b, {c_i}) plus the two inclusion flags.
+triple (a, b, {c_i}) plus the inclusion flag a_subset_b.
 
 Divisor/curve conventions: E and F are the two exceptional divisors (first
 and second step), e and f the standard fiber curves; the intersection table
@@ -23,16 +23,15 @@ class ConstructionParams:
 
     ``components`` lists the defect c_i of each component of the center
     intersection (codimension a + b - c_i).  ``a_subset_b`` must mirror the
-    presence of a component with c_i = b; ``b_subset_a`` is always rejected
-    (the construction assumes the second center is not contained in the
-    first).
+    presence of a component with c_i = b.  The construction assumes that the
+    second center is not contained in the first (its strict transform would
+    be empty).
     """
 
     a: int
     b: int
     components: tuple[int, ...]
     a_subset_b: bool = False
-    b_subset_a: bool = False
 
     def __post_init__(self):
         if self.a < 2 or self.b < 2:
@@ -46,9 +45,6 @@ class ConstructionParams:
             if not (lo <= c <= hi):
                 raise ValueError(
                     f"component defect {c} outside [1, min(a, b)] = [{lo}, {hi}]")
-        if self.b_subset_a:
-            raise ValueError("the second center may not contain the first "
-                             "(b_subset_a must be false)")
         has_cb = any(c == self.b for c in comps)
         if self.a_subset_b != has_cb:
             raise ValueError(

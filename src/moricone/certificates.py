@@ -644,7 +644,7 @@ def _stratum_in(d: dict, default_id: str) -> Stratum:
     s = Stratum(id=d.get("id", default_id), rank=_int_in(d["rank"]),
                 oracle_curves=_mat_in(d["oracle_curves"]))
     if s.rank > 0 and (len(s.oracle_curves) < s.rank or _basis_or_kernel(
-            s.oracle_curves, s.rank)[1] is not None):
+            s.oracle_curves, s.rank)[2] is not None):
         raise CertificateError(
             f"stratum {s.id!r}: the oracle curves do not span its rank-"
             f"{s.rank} class lattice")
@@ -764,40 +764,26 @@ def tsukioka_factors(n1: int, n2: int, d: int) -> tuple[GridCertificate, GridCer
     f1 = GridCertificate(a=n1, b=0, c=0, root_rank=1, outer=outer1,
                          cells=cells1, divisor=(1,))
 
-    # factor 2: a = c = 1, b = n2
+    # factor 2: a = c = 1, b = n2.  Stratum y of the row is L_d (y = 1),
+    # S_y, the curve C (y = n2 - 1; L_d itself when n2 = 2) or the point
+    # (y = n2).  Restricting to the curve multiplies hyperplane units by the
+    # surface degree d; restricting to the point gives the empty matrix.
+    def stratum2(y: int) -> Stratum:
+        if y == n2:
+            return Stratum(id="pt", rank=0, oracle_curves=())
+        name = f"L_{d}" if y == 1 else "C" if y == n2 - 1 else f"S_{y}"
+        return Stratum(id=name, rank=1, oracle_curves=unit)
+
+    def map_into(y: int) -> Mat:
+        return () if y == n2 else ((d,),) if y == n2 - 1 else one
+
     root2 = Stratum(id=f"P^{n2}", rank=1, oracle_curves=unit)
-    if n2 == 2:
-        corner = Stratum(id=f"L_{d}", rank=1, oracle_curves=unit)  # a curve
-        outer2 = (ChainStep(child=root2, restriction=one, next_class=(d,)),
-                  ChainStep(child=corner, restriction=((d,),)))
-        cells2 = {
-            (1, 1): GridCell(stratum=corner, down_class=(1,), down_map=()),
-            (1, 2): GridCell(stratum=Stratum(id="pt", rank=0, oracle_curves=())),
-        }
-    else:
-        corner = Stratum(id=f"L_{d}", rank=1, oracle_curves=unit)
-        outer2 = (ChainStep(child=root2, restriction=one, next_class=(d,)),
-                  ChainStep(child=corner, restriction=one))
-        cells2 = {(1, 1): GridCell(stratum=corner, down_class=(1,),
-                                   down_map=one)}
-        for y in range(2, n2 + 1):
-            if y < n2 - 1:
-                stratum = Stratum(id=f"S_{y}", rank=1, oracle_curves=unit)
-                cells2[(1, y)] = GridCell(stratum=stratum, down_class=(1,),
-                                          down_map=one)
-            elif y == n2 - 1:
-                stratum = Stratum(id="C", rank=1, oracle_curves=unit)
-                # parent is a surface in hyperplane units; restriction to the
-                # curve multiplies by the surface degree d
-                prev = cells2[(1, y - 1)]
-                cells2[(1, y - 1)] = GridCell(stratum=prev.stratum,
-                                              down_class=prev.down_class,
-                                              down_map=((d,),))
-                cells2[(1, y)] = GridCell(stratum=stratum, down_class=(1,),
-                                          down_map=())
-            else:
-                cells2[(1, y)] = GridCell(
-                    stratum=Stratum(id="pt", rank=0, oracle_curves=()))
+    outer2 = (ChainStep(child=root2, restriction=one, next_class=(d,)),
+              ChainStep(child=stratum2(1), restriction=map_into(1)))
+    cells2 = {(1, y): GridCell(stratum=stratum2(y), down_class=(1,),
+                               down_map=map_into(y + 1))
+              for y in range(1, n2)}
+    cells2[(1, n2)] = GridCell(stratum=stratum2(n2))
     f2 = GridCertificate(a=1, b=n2, c=1, root_rank=1, outer=outer2,
                          cells=cells2, divisor=(d,))
     return f1, f2

@@ -239,13 +239,15 @@ def dual(cone: PolyCone) -> PolyCone:
     (a greedy lexicographic basis first, the rest in lexicographic order) and
     the output is canonically sorted.
 
-    Rays stay integral throughout: the basis comes from the fraction-free
-    elimination of :func:`_basis_or_kernel`, the initial rays are the
-    columns of ``|det B| * B^{-1}``, and each new ray is an integer
+    Rays stay integral throughout, and no ``Fraction`` is made: one
+    fraction-free Gauss–Jordan pass, :func:`_basis_or_kernel`, gives the
+    basis, the initial rays (the columns of a positive multiple of
+    ``B^{-1}``) or the kernel witness, and each new ray is an integer
     combination of two adjacent rays divided by its gcd.  Three guards run
     on every call and raise :class:`AssertionError` (not ``assert``, so
     ``python -O`` keeps them): the kernel witness is orthogonal to every
-    generator, the scaled inverse is integral, and every output ray pairs
+    generator; each initial ray pairs positively with its own basis row and
+    to zero with the other basis rows; and every output ray pairs
     nonnegatively with every generator.  The last one checks every (ray,
     generator) pair with one big-integer product per ray: the generators
     are packed into ``W``-bit digits, ``W`` one more than the bit length
@@ -260,7 +262,7 @@ def dual(cone: PolyCone) -> PolyCone:
         raise LinealityError(
             "dual of the trivial cone is the whole space",
             witness=tuple([1] + [0] * (d - 1)))
-    basis_idx, kern = _basis_or_kernel(rows, d)
+    basis_idx, rays_cur, kern = _basis_or_kernel(rows, d)
     if kern is not None:
         raise LinealityError(
             "generators do not span the space; the dual contains a line",
@@ -268,16 +270,8 @@ def dual(cone: PolyCone) -> PolyCone:
 
     in_basis = set(basis_idx)
     rest_idx = [i for i in range(len(rows)) if i not in in_basis]
-    B = [rows[i] for i in basis_idx]
-    rays_cur: list[IntVector] = _scaled_inverse_columns(B)
     # masks[k] bit t set  <=>  processed constraint #t vanishes on ray k
-    masks: list[int] = []
-    for k in range(d):
-        m = 0
-        for t in range(d):
-            if t != k:
-                m |= 1 << t
-        masks.append(m)
+    masks = [((1 << d) - 1) ^ (1 << k) for k in range(d)]
 
     processed = d
     for idx in rest_idx:
@@ -341,7 +335,7 @@ def _check_pairings_nonnegative(rows: Sequence[IntVector],
     """
     d = len(rows[0])
     bound = (d * max(abs(x) for row in rows for x in row)
-             * max(abs(x) for r in rays for x in r))
+             * max((abs(x) for r in rays for x in r), default=0))
     w = bound.bit_length() + 1
     cols = [0] * d
     ones = 0
@@ -374,88 +368,79 @@ def _reduce_int(vec: Sequence[int]) -> IntVector:
     return tuple(x // g for x in vec)
 
 
+def _eliminate(v: list[int], e: list[int], p: int) -> list[int]:
+    """``e[p] * v - v[p] * e`` divided by its gcd: ``v`` with column ``p``
+    cleared by the row ``e``, whose pivot is ``p``."""
+    f, c = e[p], v[p]
+    w = [f * a - c * b for a, b in zip(v, e)]
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
+
+
 def _basis_or_kernel(rows: Sequence[Sequence[Number]], d: int
-                     ) -> tuple[Optional[list[int]], Optional[IntVector]]:
-    """One row-by-row elimination over ``rows``, fraction-free.
+                     ) -> tuple[Optional[list[int]], Optional[list[IntVector]],
+                                Optional[IntVector]]:
+    """One fraction-free Gauss–Jordan pass over ``rows``.
 
-    Each row is cleared of denominators by :func:`primitive`, then reduced
-    against every stored echelon row ``e`` with pivot ``p`` by
-    ``v = e[p] * v - v[p] * e`` and divided by its gcd.  A stored row is
-    thus a nonzero multiple of the row rational elimination would store, so
-    the pivots, the chosen indices and the kernel line are the same.
+    Each row is cleared of denominators by :func:`primitive` and carries,
+    after its ``d`` entries, its combination of the chosen rows: a unit
+    entry in the slot it would take.  It is reduced against every stored
+    row by :func:`_eliminate`; if an entry of its first ``d`` is left
+    nonzero, the first such is its pivot, the row is chosen and every
+    stored row is cleared at that pivot by it.  The reduced row is thus a
+    nonzero multiple of the row rational elimination would reduce it to,
+    so the pivots, the chosen indices and the kernel line are the same.
+    Stored row ``k`` reads ``c_k e_{p_k} | T_k`` with ``T_k B = c_k e_{p_k}``
+    for the matrix ``B`` of the chosen rows, and ``L = lcm(c_k)``.
 
-    Returns ``(indices, None)`` with the first maximal independent subset,
-    scanning in order, when the rows span the space; otherwise
-    ``(None, z)`` with a primitive nonzero ``z`` such that row . z = 0 for
-    all rows, checked before it is returned.
+    When the rows span the space, returns ``(indices, rays, None)``:
+    ``indices`` is the first maximal independent subset, scanning in order,
+    and ``rays[j]`` is column ``j`` of ``L * B^{-1}`` (entry ``T_k[j] * L /
+    c_k`` at ``p_k``) made primitive, so it pairs positively with chosen row
+    ``j`` and to zero with the others.  Otherwise returns ``(None, None,
+    z)``: ``z`` has ``L`` at the first free column, ``-e_k[free] * L / c_k``
+    at ``p_k`` and zeros elsewhere, made primitive, so row . z = 0 for all
+    rows.  Both results are checked against the input rows, and a failed
+    check raises :class:`AssertionError`.
     """
     chosen: list[int] = []
-    echelon: list[list[int]] = []
+    stored: list[list[int]] = []
     pivots: list[int] = []
     for i, row in enumerate(rows):
-        v = list(primitive(row))
-        for e, p in zip(echelon, pivots):
-            c = v[p]
-            if c:
-                f = e[p]
-                v = [f * a - c * b for a, b in zip(v, e)]
-                g = gcd(*v)
-                if g > 1:
-                    v = [a // g for a in v]
-        piv = next((j for j, x in enumerate(v) if x), None)
+        v = list(primitive(row)) + [0] * d
+        v[d + len(chosen)] = 1
+        for e, p in zip(stored, pivots):
+            if v[p]:
+                v = _eliminate(v, e, p)
+        piv = next((j for j in range(d) if v[j]), None)
         if piv is None:
             continue
-        echelon.append(v)
+        stored = [_eliminate(e, v, piv) if e[piv] else e for e in stored]
+        stored.append(v)
         pivots.append(piv)
         chosen.append(i)
         if len(chosen) == d:
-            return chosen, None
+            break
+    by_col = sorted(zip(pivots, stored))
+    scale = lcm(*(e[p] for p, e in by_col))
+    if len(chosen) == d:
+        rays = [_reduce_int([e[d + j] * (scale // e[p]) for p, e in by_col])
+                for j in range(d)]
+        for j, r in enumerate(rays):
+            pairs = [_idot(rows[i], r) for i in chosen]
+            if pairs[j] <= 0 or pairs.count(0) != d - 1:
+                raise AssertionError(
+                    "initial ray does not pair with the basis as its inverse")
+        return chosen, rays, None
     free = next(j for j in range(d) if j not in pivots)
-    z = [Fraction(0)] * d
-    z[free] = Fraction(1)
-    # Back-substitute through the echelon rows, highest pivot first.
-    for e, p in sorted(zip(echelon, pivots), key=lambda t: -t[1]):
-        z[p] = -sum(e[j] * z[j] for j in range(d) if j != p) / e[p]
-    out = primitive(z)
+    z = [0] * d
+    z[free] = scale
+    for p, e in by_col:
+        z[p] = -e[free] * (scale // e[p])
+    out = _reduce_int(z)
     if any(_idot(row, out) != 0 for row in rows):
         raise AssertionError("kernel vector is not orthogonal to every row")
-    return None, out
-
-
-def _scaled_inverse_columns(B: Sequence[IntVector]) -> list[IntVector]:
-    """Columns of ``|det B| * B^{-1}`` as primitive integer rays.
-
-    These generate ``{y : B y >= 0}`` exactly (the sign scaling keeps the
-    correct orientation).
-    """
-    d = len(B)
-    a = [[Fraction(x) for x in row] for row in B]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(d)]
-           for i in range(d)]
-    det = Fraction(1)
-    for col in range(d):
-        piv = next(r for r in range(col, d) if a[r][col] != 0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            det = -det
-        det *= a[col][col]
-        c = a[col][col]
-        a[col] = [x / c for x in a[col]]
-        inv[col] = [x / c for x in inv[col]]
-        for r in range(d):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    scale = abs(det)
-    cols: list[IntVector] = []
-    for k in range(d):
-        col = [inv[i][k] * scale for i in range(d)]
-        if any(x.denominator != 1 for x in col):
-            raise AssertionError("scaled inverse column is not integral")
-        cols.append(_reduce_int(tuple(int(x) for x in col)))
-    return cols
+    return None, None, out
 
 
 # ---------------------------------------------------------------------------

@@ -512,18 +512,16 @@ def _surface_stratum(name: str, lattice: delpezzo.DelPezzoLattice) -> Stratum:
     return Stratum(id=name, rank=lattice.rank, oracle_curves=oracle)
 
 
-def _curve_for_t1(s: Scenario, n1: NamedVector) -> tuple[int, ...]:
+def _curve_for_t1(n1bar: list[int]) -> tuple[int, ...]:
     """The auxiliary curve class on the first factor used to certify the
-    divisor N1: a line through the blown-up point pattern so that N1 - C is
-    nef and N1 . C = 1."""
-    r1 = s.r1
-    bar = [n1.vector[s.idx_h1]] + [n1.vector[s.idx_e1(j)]
-                                   for j in range(1, r1 + 1)]
-    if bar[0] == 1:  # N1 = H1
+    divisor N1, given by its factor class ``n1bar``: a line through the
+    blown-up point pattern so that N1 - C is nef and N1 . C = 1."""
+    r1 = len(n1bar) - 1
+    if n1bar[0] == 1:  # N1 = H1
         return (1,) + (0,) * r1
-    negatives = [j for j in range(1, r1 + 1) if bar[j] < 0]
+    negatives = [j for j in range(1, r1 + 1) if n1bar[j] < 0]
     if len(negatives) == 3:  # N1 = 2H1 - E1 - E2 - E3: C in |N1| itself
-        return tuple(bar)
+        return tuple(n1bar)
     # N1 = 2H1 - E_{j1} - E_{j2}: C a line through the first point
     j1 = negatives[0]
     return tuple(1 if k == 0 else (-1 if k == j1 else 0)
@@ -535,7 +533,9 @@ def factor_grids_for_t1(s: Scenario, n1: NamedVector) -> tuple[GridCertificate, 
     the chain X1 > C > point, the second X2 > A2 (the line class) > point."""
     lat1, lat2 = s.lattice1, s.lattice2
     x1 = _surface_stratum("X1", lat1)
-    ccls = _curve_for_t1(s, n1)
+    n1bar = [n1.vector[s.idx_h1]] + [n1.vector[s.idx_e1(j)]
+                                     for j in range(1, s.r1 + 1)]
+    ccls = _curve_for_t1(n1bar)
     cstrat = Stratum(id="C", rank=1, oracle_curves=((1,),))
     cells1 = {
         (0, 0): GridCell(stratum=x1, right_class=tuple(ccls),
@@ -543,8 +543,6 @@ def factor_grids_for_t1(s: Scenario, n1: NamedVector) -> tuple[GridCertificate, 
         (1, 0): GridCell(stratum=cstrat, right_class=(1,), right_map=()),
         (2, 0): GridCell(stratum=Stratum(id="pt", rank=0, oracle_curves=())),
     }
-    n1bar = [n1.vector[s.idx_h1]] + [n1.vector[s.idx_e1(j)]
-                                     for j in range(1, s.r1 + 1)]
     f1 = GridCertificate(a=2, b=0, c=0, root_rank=lat1.rank,
                          outer=(ChainStep(child=x1,
                                           restriction=identity_matrix(lat1.rank)),),

@@ -38,7 +38,7 @@ def test_params_component_range():
 
 
 def test_params_inclusion_flags():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ConstructionParams(a=3, b=2, components=(1,), b_subset_a=True)
     # flag must match the presence of a c_i = b component, both ways
     with pytest.raises(ValueError):

@@ -286,15 +286,16 @@ def row_lists(draw):
 @given(row_lists())
 def test_basis_or_kernel_matches_rank_oracle(case):
     d, rows = case
-    idx, kern = cones._basis_or_kernel(rows, d)
+    idx, rays, kern = cones._basis_or_kernel(rows, d)
     rank, kernel = _rank_and_kernel(rows, d)
     if rank == d:
         assert kern is None
         assert idx == [i for i in range(len(rows))
                        if _rank_and_kernel(rows[:i + 1], d)[0]
                        > _rank_and_kernel(rows[:i], d)[0]]
+        assert sorted(rays) == dual_by_inverse([rows[i] for i in idx])
         return
-    assert idx is None
+    assert idx is None and rays is None
     assert any(x != 0 for x in kern) and all(type(x) is int for x in kern)
     assert all(dot(row, kern) == 0 for row in rows)
     # Both back-substitute from the first free column, so even the sign
@@ -345,6 +346,38 @@ def _negate_first_new_ray(set_attr, d):
     return calls
 
 
+def test_dual_makes_no_fraction(monkeypatch):
+    """The basis, the initial rays, the new rays and the kernel witness all
+    come from integer arithmetic."""
+    nef_rows = _minus_one_rows(6)
+    simplicial = cone_from_rays(3, [(2, 1, 0), (1, 3, 1), (0, 1, 1)])
+    flat = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+    def no_fraction(*args):
+        raise RuntimeError("dual made a Fraction")
+
+    monkeypatch.setattr(cones, "Fraction", no_fraction)
+    assert len(dual(nef_rows).rays) == 99
+    assert list(dual(simplicial).rays) == dual_by_inverse(simplicial.rays)
+    with pytest.raises(LinealityError) as ei:
+        dual(flat)
+    assert ei.value.witness == (0, 0, 1)
+
+
+def test_dual_of_the_whole_space_is_zero():
+    whole = generated(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    assert dual(whole).rays == ()
+
+
+def test_initial_ray_guard_catches_a_wrong_ray(monkeypatch):
+    rows = _minus_one_rows(5)
+    # With d = 0 the helper negates the first initial ray instead.
+    calls = _negate_first_new_ray(monkeypatch.setattr, 0)
+    with pytest.raises(AssertionError, match="initial ray"):
+        dual(rows)
+    assert len(calls) == rows.dim
+
+
 def test_final_guard_catches_a_wrong_ray(monkeypatch):
     rows = _minus_one_rows(5)
     calls = _negate_first_new_ray(monkeypatch.setattr, rows.dim)
@@ -374,6 +407,28 @@ def test_final_guard_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == \
         "False double description produced an invalid ray"
+
+
+def test_initial_ray_guard_survives_optimize_flag():
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(cones.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, str(root), env.get("PYTHONPATH")) if p)
+    child = (
+        "from moricone import cones\n"
+        "from tests.test_cones import _minus_one_rows, _negate_first_new_ray\n"
+        "rows = _minus_one_rows(5)\n"
+        "_negate_first_new_ray(setattr, 0)\n"
+        "try:\n"
+        "    cones.dual(rows)\n"
+        "except AssertionError as e:\n"
+        "    print(__debug__, e)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "False initial ray does not pair with the basis as its inverse"
 
 
 def _packed_guard_passes(rows, rays):
