@@ -243,16 +243,36 @@ def dual(cone: PolyCone) -> PolyCone:
     fraction-free Gauss–Jordan pass, :func:`_basis_or_kernel`, gives the
     basis, the initial rays (the columns of a positive multiple of
     ``B^{-1}``) or the kernel witness, and each new ray is an integer
-    combination of two adjacent rays divided by its gcd.  Three guards run
-    on every call and raise :class:`AssertionError` (not ``assert``, so
-    ``python -O`` keeps them): the kernel witness is orthogonal to every
-    generator; each initial ray pairs positively with its own basis row and
-    to zero with the other basis rows; and every output ray pairs
-    nonnegatively with every generator.  The last one checks every (ray,
-    generator) pair with one big-integer product per ray: the generators
-    are packed into ``W``-bit digits, ``W`` one more than the bit length
-    of ``d * max|generator entry| * max|ray entry|``, so no pairing can
-    carry into the next digit (:func:`_check_pairings_nonnegative`).
+    combination of two adjacent rays divided by its gcd.
+
+    Each ray keeps one slot ``k`` for its whole life: ``rays[k]`` and its
+    zero set ``masks[k]`` (bit ``t`` set when processed constraint ``t``
+    vanishes on it).  ``live`` lists the current slots in the order the
+    method visits them (positive, then zero, then new rays, as each step
+    leaves them), and ``alive`` is the same set as a bitset over slots.
+    ``cols``, the transpose of ``masks``, holds one bitset over slots per
+    processed constraint: bit ``k`` of ``cols[t]`` is set when constraint
+    ``t`` vanishes on slot ``k``.  Each step appends the new constraint's
+    column and ORs its new rays into every column their masks touch, one
+    shifted int per column.  A slot whose ray turns negative is released
+    (``rays[k] = None``, ``masks[k] = 0``) and dropped from ``alive``, so
+    its stale bits in ``cols`` never count.  A positive and a negative ray
+    with common zero set ``z`` are adjacent when ``|z| >= d - 2`` and no
+    third live ray vanishes on all of ``z``: ``alive`` ANDed with
+    ``cols[t]`` for every bit ``t`` of ``z`` leaves just the pair's two
+    bits.  So the test costs one big-integer AND per bit of ``z`` rather
+    than a scan over every ray.
+
+    Three guards run on every call and raise :class:`AssertionError` (not
+    ``assert``, so ``python -O`` keeps them): the kernel witness is
+    orthogonal to every generator; each initial ray pairs positively with
+    its own basis row and to zero with the other basis rows; and every
+    output ray pairs nonnegatively with every generator.  The last one
+    checks every (ray, generator) pair with one big-integer product per
+    ray: the generators are packed into ``W``-bit digits, ``W`` one more
+    than the bit length of ``d * max|generator entry| * max|ray entry|``,
+    so no pairing can carry into the next digit
+    (:func:`_check_pairings_nonnegative`).
     """
     d = cone.dim
     if d == 0:
@@ -262,7 +282,7 @@ def dual(cone: PolyCone) -> PolyCone:
         raise LinealityError(
             "dual of the trivial cone is the whole space",
             witness=tuple([1] + [0] * (d - 1)))
-    basis_idx, rays_cur, kern = _basis_or_kernel(rows, d)
+    basis_idx, rays, kern = _basis_or_kernel(rows, d)
     if kern is not None:
         raise LinealityError(
             "generators do not span the space; the dual contains a line",
@@ -270,48 +290,67 @@ def dual(cone: PolyCone) -> PolyCone:
 
     in_basis = set(basis_idx)
     rest_idx = [i for i in range(len(rows)) if i not in in_basis]
-    # masks[k] bit t set  <=>  processed constraint #t vanishes on ray k
+    # Slot k holds rays[k] and masks[k] (bit t set <=> processed constraint
+    # #t vanishes on rays[k]); cols[t] is the transpose, a bitset over slots.
     masks = [((1 << d) - 1) ^ (1 << k) for k in range(d)]
-
-    processed = d
+    cols = list(masks)
+    live = list(range(d))
+    alive = (1 << d) - 1
     for idx in rest_idx:
         a = rows[idx]
-        svals = [_idot(a, r) for r in rays_cur]
-        neg = [k for k, s in enumerate(svals) if s < 0]
+        svals = {k: sum(map(mul, a, rays[k])) for k in live}
+        zer = [k for k, s in svals.items() if s == 0]
+        bit = 1 << len(cols)
+        for k in zer:
+            masks[k] |= bit
+        cols.append(_bitset(zer, len(rays)))
+        neg = [k for k, s in svals.items() if s < 0]
         if not neg:
-            bit = 1 << processed
-            for k, s in enumerate(svals):
-                if s == 0:
-                    masks[k] |= bit
-            processed += 1
             continue
-        pos = [k for k, s in enumerate(svals) if s > 0]
-        zer = [k for k, s in enumerate(svals) if s == 0]
-        bit = 1 << processed
-        new_rays: list[IntVector] = []
+        pos = [k for k, s in svals.items() if s > 0]
+        neg_masks = [(kn, masks[kn]) for kn in neg]
+        base = len(rays)
         new_masks: list[int] = []
         for kp in pos:
             mp = masks[kp]
-            sp = svals[kp]
-            p = rays_cur[kp]
-            for kn in neg:
-                z = mp & masks[kn]
+            for kn, mn in neg_masks:
+                z = mp & mn
                 if z.bit_count() < d - 2:
                     continue
-                if not _combinatorially_adjacent(z, masks):
+                # Adjacent iff no third live ray vanishes on all of z.
+                pair = (1 << kp) | (1 << kn)
+                common = alive
+                rest = z
+                while rest and common != pair:
+                    low = rest & -rest
+                    common &= cols[low.bit_length() - 1]
+                    rest ^= low
+                if common != pair:
                     continue
-                sn = svals[kn]
-                n = rays_cur[kn]
-                vec = [sp * x - sn * y for x, y in zip(n, p)]
-                new_rays.append(_reduce_int(vec))
+                sp, sn = svals[kp], svals[kn]
+                vec = [sp * x - sn * y for x, y in zip(rays[kn], rays[kp])]
+                rays.append(_reduce_int(vec))
                 new_masks.append(z | bit)
-        rays_cur = [rays_cur[k] for k in pos] + [rays_cur[k] for k in zer] + new_rays
-        masks = ([masks[k] for k in pos]
-                 + [masks[k] | bit for k in zer]
-                 + new_masks)
-        processed += 1
+        # One shifted int per touched constraint ORs the new slots into cols.
+        added: dict[int, int] = {}
+        for j, m in enumerate(new_masks):
+            jbit = 1 << j
+            while m:
+                low = m & -m
+                t = low.bit_length() - 1
+                added[t] = added.get(t, 0) | jbit
+                m ^= low
+        for t, b in added.items():
+            cols[t] |= b << base
+        for kn in neg:
+            alive ^= 1 << kn
+            rays[kn] = None
+            masks[kn] = 0
+        alive |= ((1 << len(new_masks)) - 1) << base
+        masks.extend(new_masks)
+        live = pos + zer + list(range(base, len(rays)))
 
-    out = sorted(set(rays_cur))
+    out = sorted(set(rays[k] for k in live))
     _check_pairings_nonnegative(rows, out)
     return PolyCone(d, tuple(out))
 
@@ -348,17 +387,13 @@ def _check_pairings_nonnegative(rows: Sequence[IntVector],
             raise AssertionError("double description produced an invalid ray")
 
 
-def _combinatorially_adjacent(z: int, masks: list[int]) -> bool:
-    """Rays kp, kn with ``z = masks[kp] & masks[kn]`` are adjacent iff no
-    third ray's zero set contains z.  Both their own masks contain z, so that
-    is: at most two masks contain z."""
-    found = 0
-    for m in masks:
-        if m & z == z:
-            found += 1
-            if found > 2:
-                return False
-    return True
+def _bitset(slots: Iterable[int], n: int) -> int:
+    """The int with bit ``k`` set for each ``k`` in ``slots`` (all below
+    ``n``), read in one pass from a string of binary digits."""
+    digits = bytearray(b"0") * (n + 1)
+    for k in slots:
+        digits[~k] = 49  # ord("1")
+    return int(digits, 2)
 
 
 def _reduce_int(vec: Sequence[int]) -> IntVector:

@@ -403,8 +403,6 @@ class ClassificationResult:
     def __post_init__(self):
         if self.fano and not self.weak_fano:
             raise AssertionError("fano requires weak fano")
-        if self.weak_fano != self.fano_type:
-            raise AssertionError("weak fano and fano type must agree here")
 
 
 def classify(s: Scenario) -> ClassificationResult:
@@ -431,13 +429,22 @@ def classify(s: Scenario) -> ClassificationResult:
         witnesses["not_weak_fano"] = {"curve": cert["witness"],
                                       "pairing": cert["pairings"][cert["witness"]]}
 
-    fano_type = weak_fano
-    if s.r2 >= 2:
+    # Fano type rests on its own evidence: weak Fano implies it, and only a
+    # refutation certificate re-checked here may deny it.
+    if weak_fano:
+        fano_type = True
+    elif s.r2 >= 2:
         refutation = not_fano_type_refutation(s)
+        if not check_infeasibility_certificate(refutation.lp,
+                                               refutation.certificate):
+            raise AssertionError("not-Fano-type certificate does not check")
+        fano_type = False
         witnesses["not_fano_type"] = {
             "constraints": [c.label for c in refutation.lp.constraints],
             "certificate": refutation.certificate,
         }
+    else:
+        raise AssertionError("neither weak Fano nor refuted as Fano type")
     return ClassificationResult(r1=s.r1, r2=s.r2, fano=fano,
                                 weak_fano=weak_fano, fano_type=fano_type,
                                 witnesses=witnesses)
@@ -445,17 +452,15 @@ def classify(s: Scenario) -> ClassificationResult:
 
 def delta_certificate(s: Scenario) -> dict:
     """Pairings of -(K + boundary) with every generating curve; all must be
-    strictly positive for the ampleness certificate to pass."""
-    minus_k_delta = tuple(-Fraction(k) - d
-                          for k, d in zip(canonical_vector(s), delta_divisor(s)))
-    pairings = {c.name: pairing(minus_k_delta, c.vector)
+    strictly positive for the ampleness certificate to pass.  The boundary
+    has denominator 3, so each pairing is taken in integers with
+    3 (-K - boundary) and reported divided by 3."""
+    thrice = tuple(3 * a - int(3 * d)
+                   for a, d in zip(anticanonical(s), delta_divisor(s)))
+    pairings = {c.name: Fraction(pairing(thrice, c.vector), 3)
                 for c in s.ne_curves()}
     witness = next((n for n, v in pairings.items() if v <= 0), None)
     return {"ok": witness is None, "witness": witness, "pairings": pairings}
-
-
-def canonical_vector(s: Scenario) -> tuple[int, ...]:
-    return tuple(-x for x in anticanonical(s))
 
 
 @dataclass(frozen=True)

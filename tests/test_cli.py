@@ -378,6 +378,17 @@ def test_internal_error_is_not_a_refutation(monkeypatch, capsys):
     assert "invalid ray" in captured.err
 
 
+def test_fano_type_needs_a_checked_refutation(monkeypatch, capsys):
+    """classify re-checks the refutation itself, so a certificate that fails
+    the check is an internal error even when the cached solve passed."""
+    sc.not_fano_type_refutation(sc.build_scenario(0, 2))
+    monkeypatch.setattr(sc, "check_infeasibility_certificate",
+                        lambda lp, mu: False)
+    code = run(["dp", "scenario", "--r1", "0", "--r2", "2", "--classify"])
+    assert code == EXIT_INTERNAL
+    assert "does not check" in capsys.readouterr().err
+
+
 def test_no_assert_statements_guard_verdicts():
     # python -O strips assert statements, so every guard must raise.
     for path in sorted(Path(moricone.__file__).parent.glob("*.py")):

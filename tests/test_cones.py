@@ -271,6 +271,34 @@ def test_membership_agrees_with_dual_pairings(c, coeffs, noise):
 
 
 @st.composite
+def degenerate_cones(draw):
+    """Cones over points of the {-1, 0, 1} grid at height 1, in dimensions
+    4-6.  Many points share each face, so many rays of the dual and of the
+    dual back vanish on more than d - 1 generators: the slack
+    ``|mask| - (d - 2)`` of the adjacency prefilter is often above 1."""
+    dim = draw(st.integers(4, 6))
+    points = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * (dim - 1)),
+                           min_size=dim, max_size=dim + 4, unique=True))
+    return _pointed_spanning_cone(dim, [(1,) + p for p in points])
+
+
+_CUBE = cone_from_rays(4, [(1, x, y, z) for x in (-1, 1) for y in (-1, 1)
+                           for z in (-1, 1)])
+_CUBE_PYRAMID = cone_from_rays(
+    5, [(1, x, y, z, 0) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    + [(1, 0, 0, 0, 1)])
+
+
+@given(degenerate_cones())
+@example(_CUBE)
+@example(_CUBE_PYRAMID)
+def test_dual_of_degenerate_cones_matches_oracle_and_round_trips(c):
+    d = dual(c)
+    assert list(d.rays) == dual_by_facet_enumeration(c.rays)
+    assert dual(d).rays == c.rays
+
+
+@st.composite
 def row_lists(draw):
     """Integer or rational rows, spanning or not; the small entries make
     dependent rows and corank 1 common."""
@@ -329,6 +357,12 @@ def test_del_pezzo_nef_cone_counts_round_trip(r, count):
     back = dual(nef)
     assert back.rays == rows.rays
     assert dual(back).rays == nef.rays
+
+
+def test_del_pezzo_8_nef_cone_count():
+    """Forward only: the dual back of the 19440 rays makes one pairing per
+    ray and constraint at every step and takes minutes."""
+    assert len(dual(_minus_one_rows(8)).rays) == 19440
 
 
 def _negate_first_new_ray(set_attr, d):

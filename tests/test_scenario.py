@@ -271,6 +271,24 @@ def test_delta_certificate_frozen_values():
     assert cert["pairings"]["e2_1"] == 1
 
 
+def test_delta_certificate_matches_fraction_pairings_on_every_cell():
+    """The integer pairings, divided by 3, equal -(K + boundary) . C taken
+    in Fractions, and keep their type: every value is a Fraction."""
+    for r1 in range(sc.MAX_R1 + 1):
+        for r2 in range(sc.MAX_R2 + 1):
+            s = sc.build_scenario(r1, r2)
+            minus_k_delta = [Fraction(a) - d for a, d in
+                             zip(sc.anticanonical(s), sc.delta_divisor(s))]
+            expected = {c.name: sum((x * y for x, y in
+                                     zip(minus_k_delta, c.vector)),
+                                    Fraction(0))
+                        for c in s.ne_curves()}
+            cert = sc.delta_certificate(s)
+            assert cert["pairings"] == expected, (r1, r2)
+            assert all(type(v) is Fraction for v in cert["pairings"].values())
+            assert cert["ok"] == all(v > 0 for v in expected.values())
+
+
 def test_delta_certificate_fails_r2_2():
     cert = sc.delta_certificate(sc.build_scenario(0, 2))
     assert not cert["ok"]
