@@ -12,6 +12,7 @@ traceback goes to stderr and no verdict is printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -302,7 +303,14 @@ def _cmd_cert_example(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    Each subcommand's handler (``_cmd_*``) is bound when the parser is first
+    built, so replacing a ``_cmd_*`` attribute later has no effect; tests
+    patch the ``scenario`` or ``cones`` functions the handlers call instead.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE",
                         help="also write the JSON report document to FILE")
@@ -379,27 +387,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command in-process; print its report and return its exit
+    code."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     t0 = time.monotonic()
     try:
         code, lines, extra, verdicts, witnesses = args.handler(args)
         doc = _document(argv, extra, verdicts, witnesses, t0)
-        if getattr(args, "json", False) \
-                or getattr(args, "format", None) == "json":
-            print(json.dumps(doc, indent=2))
+        as_json = getattr(args, "json", False) \
+            or getattr(args, "format", None) == "json"
+        out = getattr(args, "out", None)
+        # One encoding feeds stdout and --out; a plain text report needs none.
+        text = json.dumps(doc, indent=2) if as_json or out else None
+        if as_json:
+            print(text)
         else:
             for line in lines:
                 print(line)
-        if getattr(args, "out", None):
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except (OSError, ValueError, CertificateError, ConeError) as exc:
         # Unreadable input, an unwritable --out, or a malformed document.
         bad_json = isinstance(exc, json.JSONDecodeError)

@@ -124,11 +124,3 @@ def pairing_row(c: Sequence[int]) -> tuple[int, ...]:
 def nef_cone(L: DelPezzoLattice) -> PolyCone:
     rows = [pairing_row(c) for c in ne_generators(L)]
     return dual(generated(L.rank, rows))
-
-
-def is_nef(L: DelPezzoLattice, D: Sequence) -> bool:
-    return all(pair(L, D, c) >= 0 for c in ne_generators(L))
-
-
-def is_ample(L: DelPezzoLattice, D: Sequence) -> bool:
-    return all(pair(L, D, c) > 0 for c in ne_generators(L))

@@ -5,6 +5,7 @@ import ast
 import io
 import json
 import os
+import re
 import subprocess
 import tempfile
 import sys
@@ -20,7 +21,7 @@ from moricone import scenario as sc
 from moricone.certificates import (build_product_certificates,
                                    certificate_to_dict, tsukioka_factors)
 from moricone.cli import (EXIT_ERROR, EXIT_INTERNAL, EXIT_REFUTED,
-                          EXIT_VERIFIED, jsonable, run)
+                          EXIT_VERIFIED, build_parser, jsonable, run)
 
 
 _CERTS = Path(__file__).resolve().parents[1] / "certs"
@@ -342,6 +343,58 @@ def test_determinism_modulo_timing():
     assert d1 == d2
 
 
+# One process reuses its parser: each call of this sequence must not see
+# flags or defaults left behind by the one before it.
+_REUSE_SEQUENCE = [
+    ["frobnicate"],
+    ["dp", "minus-one", "--r", "3"],
+    ["dp", "classify-all", "--format", "json"],
+    ["dp", "classify-all"],
+    ["dp", "scenario", "--r1", "1", "--r2", "2", "--classify", "--json"],
+    ["dp", "scenario", "--r1", "1", "--r2", "2", "--classify"],
+]
+
+
+def _without_timing(text):
+    return re.sub(r'"timing_seconds": [0-9.]+', '"timing_seconds": 0', text)
+
+
+def _run_sequence(tmp_path, fresh_parser):
+    results = []
+    for i, argv in enumerate(_REUSE_SEQUENCE):
+        # The path is part of the document's "command", so both sides use it.
+        out_file = tmp_path / f"{i}.json"
+        out_file.unlink(missing_ok=True)
+        if fresh_parser:
+            build_parser.cache_clear()
+        code, out = capture(argv + ["--out", str(out_file)])
+        doc = out_file.read_text(encoding="utf-8") if out_file.exists() \
+            else None
+        results.append((code, _without_timing(out),
+                        doc and _without_timing(doc)))
+    return results
+
+
+def test_reused_parser_carries_no_state(tmp_path):
+    reused = _run_sequence(tmp_path, fresh_parser=False)
+    fresh = _run_sequence(tmp_path, fresh_parser=True)
+    assert [r[0] for r in reused] == [EXIT_ERROR] + [EXIT_VERIFIED] * 5
+    assert reused[0][2] is None and all(r[2] for r in reused[1:])
+    for argv, got, want in zip(_REUSE_SEQUENCE, reused, fresh):
+        assert got == want, argv
+
+
+def test_json_stdout_is_the_out_file(tmp_path):
+    # One encoding feeds both: print adds the newline the file ends with.
+    out_file = tmp_path / "doc.json"
+    code, out = capture(["dp", "scenario", "--r1", "0", "--r2", "0",
+                         "--classify", "--json", "--out", str(out_file)])
+    assert code == EXIT_VERIFIED
+    text = out_file.read_text(encoding="utf-8")
+    assert text.endswith("}\n")
+    assert out == text
+
+
 def test_classify_all_formats():
     code, out = capture(["dp", "classify-all", "--format", "md"])
     assert code == EXIT_VERIFIED
@@ -461,15 +514,36 @@ def test_jsonable_fraction_forms():
     assert jsonable({"x": (Fraction(1, 3),)}) == {"x": ["1/3"]}
 
 
-def test_module_entry_point():
-    # The child does not inherit pytest's pythonpath setting: point it at the
+def _child_env():
+    # A child does not inherit pytest's pythonpath setting: point it at the
     # directory this moricone was imported from.
     env = dict(os.environ)
     src = str(Path(moricone.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "moricone.cli", "cones", "relative"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "verified" in proc.stdout
+
+
+def test_parser_is_built_by_the_first_run_only():
+    script = "\n".join([
+        "import contextlib, io",
+        "from moricone import cli",
+        "assert cli.build_parser.cache_info().currsize == 0, 'built at import'",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.run(['dp', 'minus-one', '--r', '1']) == 0",
+        "    assert cli.run(['dp', 'minus-one', '--r', '2']) == 0",
+        "info = cli.build_parser.cache_info()",
+        "assert (info.misses, info.currsize) == (1, 1), info",
+        "assert cli.build_parser() is cli.build_parser()",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
