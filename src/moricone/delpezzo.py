@@ -121,6 +121,7 @@ def pairing_row(c: Sequence[int]) -> tuple[int, ...]:
     return (c[0],) + tuple(-x for x in c[1:])
 
 
+@cache
 def nef_cone(L: DelPezzoLattice) -> PolyCone:
     rows = [pairing_row(c) for c in ne_generators(L)]
     return dual(generated(L.rank, rows))

@@ -13,7 +13,8 @@ Fano/weak Fano/Fano-type classification, the supporting linear-program
 refutation) can be verified with the exact cone engine.
 
 The catalog is e (the fiber of E over the first center), f (the fiber of F)
-and one curve per factor NE generator, by one lift rule (:func:`_lift`):
+and one curve per factor NE generator, by one lift rule (:func:`_lift`); a
+lifted curve keeps the class it is lifted from as its ``factor_class``:
 
 * factor 1: each generator of NE(dP_{r1+1}), where the extra point is the
   point of the first center, puts its pairing row on the H1/E1 slots and its
@@ -21,6 +22,10 @@ and one curve per factor NE generator, by one lift rule (:func:`_lift`):
   E0 is not lifted, since it splits as e + f;
 * factor 2: each generator of NE(dP_{r2}) puts its pairing row on the H2/E2
   slots and its degree on E.
+
+The claimed nef cone is generated by both factors' nef cones pulled back
+and T = {N1 + H2 - E, N1 + H2 - E - F : N1 in T1}, where T1 is the rays of
+Nef(dP_{r1+1}) with E0 coefficient -1, E0 dropped (:func:`t1_divisors`).
 
 The trust base is :func:`delpezzo.ne_generators`: NE(dP_r) is generated by
 the (-1)-classes for r >= 2, by E1 and H - E1 for r = 1, and by H for r = 0.
@@ -49,7 +54,6 @@ from .cones import (
     check_infeasibility_certificate,
     cones_equal,
     constraint,
-    dual,
     generated,
     lp_feasible,
 )
@@ -61,8 +65,8 @@ MAX_R2 = 8
 @dataclass(frozen=True)
 class Curve:
     """A catalog curve: its name, its intersection vector and, for a curve
-    over a factor surface, the factor index and the surface class it lies
-    over."""
+    over a factor surface, the factor index and the class :func:`_lift`
+    lifts (a class of dP_{r1+1} for factor 1, of dP_{r2} for factor 2)."""
 
     name: str
     vector: tuple[int, ...]
@@ -138,24 +142,33 @@ def build_scenario(r1: int, r2: int) -> Scenario:
              + ["H2"] + [f"E2_{j}" for j in range(1, r2 + 1)]
              + ["E", "F"])
     s = Scenario(r1=r1, r2=r2, basis_names=tuple(names), curves=())
-    e, f = [0] * s.rho, [0] * s.rho
-    e[s.idx_e], e[s.idx_f], f[s.idx_f] = -1, 1, -1
-    curves = [Curve("e", tuple(e)), Curve("f", tuple(f))]
-
-    # E0 = e + f, so the extra point's exceptional class is not lifted.
-    e0 = (0,) * (r1 + 1) + (1,)
-    for cls in delpezzo.ne_generators(delpezzo.build(r1 + 1)):
-        if cls != e0:
-            name = ("l1" if cls[-1] else "e1") + _points(cls[1:-1])
-            curves.append(Curve(name, _lift(s, 1, cls), 1, cls[:-1]))
+    curves = [Curve(name, v) for name, v in _fibers(s).items()]
+    for cls in _lifted_classes(s, 1):
+        name = ("l1" if cls[-1] else "e1") + _points(cls[1:-1])
+        curves.append(Curve(name, _lift(s, 1, cls), 1, cls))
     # (-1)-classes are named by position, H (r2 = 0) and H - E1 (r2 = 1) by
     # the points they pass through.
-    lattice2 = delpezzo.build(r2)
-    for k, cls in enumerate(delpezzo.ne_generators(lattice2), 1):
-        minus_one = delpezzo.pair(lattice2, cls, cls) == -1
+    for k, cls in enumerate(_lifted_classes(s, 2), 1):
+        minus_one = delpezzo.pair(s.lattice2, cls, cls) == -1
         name = f"e2_{k}" if minus_one else "l2" + _points(cls[1:])
         curves.append(Curve(name, _lift(s, 2, cls), 2, cls))
     return replace(s, curves=tuple(curves))
+
+
+def _fibers(s: Scenario) -> dict[str, tuple[int, ...]]:
+    """The fibers e of E and f of F: the only curves with an F entry."""
+    zero = (0,) * s.idx_e
+    return {"e": zero + (-1, 1), "f": zero + (0, -1)}
+
+
+def _lifted_classes(s: Scenario, factor: int) -> tuple[tuple[int, ...], ...]:
+    """The classes lifted to factor curves: the generators of NE(dP_{r1+1})
+    other than E0, which splits as e + f, or the generators of NE(S2)."""
+    if factor == 2:
+        return delpezzo.ne_generators(s.lattice2)
+    e0 = (0,) * (s.r1 + 1) + (1,)
+    return tuple(c for c in delpezzo.ne_generators(delpezzo.build(s.r1 + 1))
+                 if c != e0)
 
 
 def _points(multiplicities: Sequence[int]) -> str:
@@ -201,23 +214,18 @@ def ne_generators(s: Scenario) -> PolyCone:
 
 
 def t1_divisors(s: Scenario) -> tuple[NamedVector, ...]:
-    rho = s.rho
-    out = [NamedVector("H1", tuple(1 if k == 0 else 0 for k in range(rho)))]
-    if s.r1 >= 2:
-        for j1 in range(1, s.r1 + 1):
-            for j2 in range(j1 + 1, s.r1 + 1):
-                v = [0] * rho
-                v[s.idx_h1] = 2
-                v[s.idx_e1(j1)] = -1
-                v[s.idx_e1(j2)] = -1
-                out.append(NamedVector(f"2H1-E1_{j1}-E1_{j2}", tuple(v)))
-    if s.r1 == 3:
-        v = [0] * rho
-        v[s.idx_h1] = 2
-        for j in range(1, 4):
-            v[s.idx_e1(j)] = -1
-        out.append(NamedVector("2H1-E1_1-E1_2-E1_3", tuple(v)))
-    return tuple(out)
+    """The rays of Nef(dP_{r1+1}) with E0 coefficient -1, E0 dropped, by
+    degree, number of points and points: H1, 2H1-E1_j-E1_k, ...  Every
+    multiplicity is 1 for r1 <= MAX_R1, so a name lists the points only."""
+    keyed = []
+    for ray in delpezzo.nef_cone(delpezzo.build(s.r1 + 1)).rays:
+        if ray[-1] == -1:
+            points = [j for j, m in enumerate(ray[1:-1], 1) if m]
+            name = ("H1" if ray[0] == 1 else f"{ray[0]}H1") + "".join(
+                f"-E1_{j}" for j in points)
+            keyed.append(((ray[0], len(points), points),
+                          NamedVector(name, _embed_factor(s, 1, ray))))
+    return tuple(nv for _, nv in sorted(keyed, key=lambda kv: kv[0]))
 
 
 def t_divisors(s: Scenario) -> tuple[NamedVector, ...]:
@@ -234,15 +242,10 @@ def t_divisors(s: Scenario) -> tuple[NamedVector, ...]:
 
 
 def _embed_factor(s: Scenario, factor: int, cls: Sequence[int]) -> tuple:
+    """``cls`` on one factor's H/E slots; entries past them are dropped."""
+    start, n = (s.idx_h1, s.r1 + 1) if factor == 1 else (s.idx_h2, s.r2 + 1)
     v = [0] * s.rho
-    if factor == 1:
-        v[s.idx_h1] = cls[0]
-        for j in range(1, s.r1 + 1):
-            v[s.idx_e1(j)] = cls[j]
-    else:
-        v[s.idx_h2] = cls[0]
-        for j in range(1, s.r2 + 1):
-            v[s.idx_e2(j)] = cls[j]
+    v[start:start + n] = cls[:n]
     return tuple(v)
 
 
@@ -294,36 +297,31 @@ def _containment_explicit(ne_curves, claimed) -> Optional[dict]:
     return None
 
 
-def _block_split(s: Scenario) -> tuple[Optional[dict], Optional[dict], list]:
-    """Split the curve generators along the second factor.
+def _block_split(s: Scenario) -> tuple[Optional[dict], Optional[dict]]:
+    """Check the catalog against the rule that builds it: e and f have
+    exactly their listed vectors (:func:`_fibers`), and every factor-k curve
+    is the :func:`_lift` of a distinct class of :func:`_lifted_classes`.
 
-    Returns ``(lift_witness, unlifted_witness, reduced)``.  Every
-    second-factor curve must be the lift of a distinct NE(S2) generator c by
-    :func:`_lift`: the surface pairing row of c on the H2/E2 slots, the
-    degree of c on E and zero elsewhere.  Every other curve must be zero on
-    the H2/E2 slots; it is kept in ``reduced`` with those slots dropped.
-    ``lift_witness`` names the first curve that breaks this,
-    ``unlifted_witness`` an NE(S2) generator that no curve lifts.
+    Returns ``(lift_witness, unlifted_witness)``: the first curve that breaks
+    the rule, and a fiber or factor class that no curve carries.
     """
-    unlifted = set(delpezzo.ne_generators(s.lattice2))
-    reduced = []
+    todo = {0: _fibers(s)}
+    for k in (1, 2):
+        todo[k] = {cls: _lift(s, k, cls) for cls in _lifted_classes(s, k)}
     for c in s.ne_curves():
-        if c.factor != 2:
-            if any(c.vector[s.idx_h2:s.idx_e]):
-                return ({"curve": c.name,
-                         "reason": "nonzero second-factor component"}, None, [])
-            reduced.append(c.vector[:s.idx_h2] + c.vector[s.idx_e:])
-            continue
-        if c.factor_class not in unlifted:
-            return ({"curve": c.name,
-                     "reason": "not an NE(S2) generator, or lifted twice"}, None, [])
-        unlifted.remove(c.factor_class)
-        if _lift(s, 2, c.factor_class) != c.vector:
-            return {"curve": c.name, "reason": "lift rule violated"}, None, []
-    if unlifted:
-        return None, {"factor_class": min(unlifted),
-                      "reason": "NE(S2) generator not lifted"}, reduced
-    return None, None, reduced
+        expected = todo.get(c.factor, {}).pop(
+            c.factor_class if c.factor else c.name, None)
+        if expected != c.vector:
+            reason = ("not a listed class, or lifted twice" if expected is None
+                      else "lift rule violated" if c.factor
+                      else "F split violated")
+            return {"curve": c.name, "reason": reason}, None
+    for k, noun in enumerate(("fiber", "NE(dP_{r1+1}) generator",
+                              "NE(S2) generator")):
+        if todo[k]:
+            return None, {"factor_class": min(todo[k]),
+                          "reason": f"{noun} not lifted"}
+    return None, None
 
 
 def verify_theorem(s: Scenario) -> TheoremVerdict:
@@ -331,43 +329,48 @@ def verify_theorem(s: Scenario) -> TheoremVerdict:
     curves, or report a witness.
 
     Write a divisor by blocks as (A1, A2, x_E, x_F), A1 on the H1/E1 slots
-    and A2 on the H2/E2 slots, and change coordinates by A2' = A2 + x_E H2,
-    which is unimodular.  When :func:`_block_split` holds, the lift of an
-    NE(S2) generator c pairs with the divisor as the surface pairing A2'.c
-    (its E entry is the degree of c), and every other curve pairs with
-    (A1, x_E, x_F) alone.  Hence Nef(X) = Nef(S2) x P, where P is the dual of
-    the reduced curves in the r1 + 3 coordinates (A1, x_E, x_F).
+    and A2 on the H2/E2 slots, and change coordinates by the unimodular
+    A2' = A2 + x_E H2.  When :func:`_block_split` holds, the lift of an
+    NE(S2) generator c pairs with the divisor as A2'.c, and every other curve
+    pairs with (A1, x_E, x_F) alone.  So Nef(X) = Nef(S2) x P, with P the
+    dual of the other (reduced) curves in those r1 + 3 coordinates.
 
-    The claim splits the same way.  The second-factor pullbacks are
-    Nef(S2) x 0 by construction, and they pair with every curve by the
-    surface pairing or by 0, so they are nef.  The first-factor pullbacks and
-    T have A2' = 0; their nefness is checked by explicit pairings, and their
-    projections generate a cone Q.  So Nef(X) equals the claimed cone exactly
-    when P = Q, and ``cones_equal`` decides that with a witness ray on
-    (r1 + 3)-dimensional cones.  The second factor is never dualised.
+    Lemma: P = {(D, x_F) : D in Nef(dP_{r1+1}), x_E(D) <= x_F <= 0}, with
+    D = (A1, x_E) a class of dP_{r1+1} whose E0 coefficient is x_E.  Proof:
+    only e and f touch F, and they give x_E <= x_F <= 0.  Every other reduced
+    curve, and e + f, is (pairing_row(c), 0) for c in NE(dP_{r1+1}).  Hence
+    the rays of P are (D, 0) and (D, x_E(D)) for the rays D of the cached
+    Nef(dP_{r1+1}), and no cone of more than r1 + 2 dimensions is dualised.
 
-    A curve that breaks the block split is a containment witness, since the
-    second-factor pullbacks are then not shown nef; as the proof does not
-    apply, it is also the witness of ``unequal``.  An NE(S2) generator with
-    no lift leaves the second block of dual(NE) larger than Nef(S2), and a
-    claimed divisor outside the first block does not project; both are
+    The claim splits the same way: the second-factor pullbacks are
+    Nef(S2) x 0 and pair with every curve by the surface pairing or by 0.
+    The first-factor pullbacks and T have A2' = 0, their nefness is checked
+    by explicit pairings, and their projections generate Q.  ``cones_equal``
+    decides P = Q with a witness ray.  As the pullbacks come from
+    Nef(dP_{r1}), that checks that the face x_E = 0 of Nef(dP_{r1+1}) is
+    Nef(dP_{r1}) pulled back and that no ray has x_E <= -2.
+
+    A curve that breaks the block split is a containment witness (the
+    second-factor pullbacks are then not shown nef) and, as the proof does
+    not apply, the witness of ``unequal``.  A fiber or factor generator that
+    no curve carries, or a claimed divisor outside the first block, is
     reported ``unequal``.  A ray of P not in Q, or of Q not in P, is reported
     in full coordinates: A2' = 0 puts minus its E entry on H2.
     """
     first = factor_nef_vectors(s, 1) + t_divisors(s)
-    lift_witness, unlifted, reduced = _block_split(s)
+    lift_witness, unlifted = _block_split(s)
     witness = _containment_explicit(s.ne_curves(), first) or lift_witness
     if lift_witness or unlifted:
         equality = EQ_UNEQUAL, lift_witness or unlifted
     else:
-        equality = _equality(s, first, reduced)
+        equality = _equality(s, first)
     return TheoremVerdict(s.r1, s.r2, witness is None, witness, *equality)
 
 
-def _equality(s: Scenario, first: Sequence[NamedVector], reduced):
-    """Compare P = dual(reduced curves) with the cone of the projected
-    first-block claims.  Both list primitive rays, so when the claim is
-    exactly the extremal rays of P the comparison needs no LP."""
+def _equality(s: Scenario, first: Sequence[NamedVector]):
+    """Compare the lemma's P (see :func:`verify_theorem`) with the cone of the
+    projected claims.  Both list primitive rays, so when the claim is exactly
+    the extremal rays of P the comparison needs no LP."""
     projected = []
     for nv in first:
         v = nv.vector
@@ -375,9 +378,10 @@ def _equality(s: Scenario, first: Sequence[NamedVector], reduced):
             return EQ_UNEQUAL, {"divisor": nv.name,
                                 "reason": "outside the first block"}
         projected.append(v[:s.idx_h2] + v[s.idx_e:])
+    nef = delpezzo.nef_cone(delpezzo.build(s.r1 + 1)).rays
+    doubled = [d + (x,) for d in nef for x in (0, d[-1])]
     dim = s.r1 + 3
-    verdict = cones_equal(dual(generated(dim, reduced)),
-                          generated(dim, projected))
+    verdict = cones_equal(generated(dim, doubled), generated(dim, projected))
     if verdict.equal:
         return EQ_EQUAL, None
     z = verdict.witness_ray

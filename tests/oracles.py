@@ -137,7 +137,9 @@ def reference_catalog(r1, r2):
     the lines l1_j through the j-th point and the first center's point, the
     exceptional curves e1_j and the lines e1_jk through two points; then the
     line l2 (r2 = 0), the fiber l2_1 (r2 = 1) and the lifts e2_k of the
-    (-1)-classes, numbered in sorted order.
+    (-1)-classes, numbered in sorted order.  A first-factor curve's
+    factor_class is its class on dP_{r1+1}, whose last point E0 is the first
+    center's point; a second-factor curve's is its class on dP_{r2}.
     """
     names = (["H1"] + [f"E1_{j}" for j in range(1, r1 + 1)]
              + ["H2"] + [f"E2_{j}" for j in range(1, r2 + 1)] + ["E", "F"])
@@ -154,17 +156,18 @@ def reference_catalog(r1, r2):
 
     out = [("e", vec({"E": -1, "F": 1}), 0, None),
            ("f", vec({"F": -1}), 0, None)]
+    e0 = r1 + 1
     if r1 == 0:
-        out.append(("l1", vec({"H1": 1, "E": 1}), 1, (1,)))
+        out.append(("l1", vec({"H1": 1, "E": 1}), 1, line(1, e0)))
     for j in range(1, r1 + 1):
         out.append((f"l1_{j}", vec({"H1": 1, f"E1_{j}": 1, "E": 1}), 1,
-                    line(r1, j)))
+                    line(r1 + 1, j, e0)))
         out.append((f"e1_{j}", vec({f"E1_{j}": -1}), 1,
-                    tuple(int(k == j) for k in range(r1 + 1))))
+                    tuple(int(k == j) for k in range(r1 + 2))))
     for j1, j2 in combinations(range(1, r1 + 1), 2):
         out.append((f"e1_{j1}{j2}",
                     vec({"H1": 1, f"E1_{j1}": 1, f"E1_{j2}": 1}), 1,
-                    line(r1, j1, j2)))
+                    line(r1 + 1, j1, j2)))
     if r2 == 0:
         out.append(("l2", vec({"H2": 1, "E": 1}), 2, (1,)))
     if r2 == 1:
@@ -173,6 +176,20 @@ def reference_catalog(r1, r2):
         entries = {"H2": cls[0], "E": cls[0]}
         entries.update({f"E2_{j}": -cls[j] for j in range(1, r2 + 1)})
         out.append((f"e2_{k}", vec(entries), 2, cls))
+    return out
+
+
+def reference_t1(r1):
+    """The first-factor parts N1 of the mixed divisors T, written out by
+    hand for r1 <= 3 as (name, class) with the class in the basis
+    (H1, E1_1, ..., E1_r1): H1, the conics 2H1 - E1_j - E1_k through two
+    points, and for r1 = 3 the conic through all three."""
+    out = [("H1", (1,) + (0,) * r1)]
+    for j1, j2 in combinations(range(1, r1 + 1), 2):
+        out.append((f"2H1-E1_{j1}-E1_{j2}",
+                    (2,) + tuple(-int(k in (j1, j2)) for k in range(1, r1 + 1))))
+    if r1 == 3:
+        out.append(("2H1-E1_1-E1_2-E1_3", (2, -1, -1, -1)))
     return out
 
 

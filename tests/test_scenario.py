@@ -15,7 +15,7 @@ from moricone.cones import (check_infeasibility_certificate,
                             lp_feasible)
 
 from .oracles import (dual_by_facet_enumeration, reference_catalog,
-                      t_certificates_agree_with_membership)
+                      reference_t1, t_certificates_agree_with_membership)
 
 # ---------------------------------------------------------------------------
 # catalog structure
@@ -114,10 +114,33 @@ def test_claimed_matches_dual_0_0():
                        sc.nef_generators_claimed(s)).equal
 
 
+@pytest.mark.parametrize("r1", range(sc.MAX_R1 + 1))
+def test_t1_divisors_match_reference(r1):
+    # Names, vectors and order: reports and certificate keys print them, and
+    # at r1 = 3 plain sorted order would put the triple conic first.
+    for r2 in (0, 3):
+        s = sc.build_scenario(r1, r2)
+        zeros = (0,) * (s.rho - r1 - 1)
+        assert ([(nv.name, nv.vector) for nv in sc.t1_divisors(s)]
+                == [(name, cls + zeros) for name, cls in reference_t1(r1)])
+
+
+@pytest.mark.parametrize("r1", range(sc.MAX_R1 + 1))
+def test_first_block_closed_form_matches_oracle(r1):
+    # The rays (D, 0) and (D, x_E(D)) over the rays D of Nef(dP_{r1+1}) are
+    # the dual of the first-block curves, by facet enumeration.
+    s = sc.build_scenario(r1, 2)
+    nef = delpezzo.nef_cone(delpezzo.build(r1 + 1)).rays
+    assert {d[-1] for d in nef} <= {0, -1}
+    assert ({d[:-1] for d in nef if d[-1] == 0}
+            == set(delpezzo.nef_cone(delpezzo.build(r1)).rays))
+    doubled = sorted({d + (x,) for d in nef for x in (0, d[-1])})
+    rows = [c.vector[:s.idx_h2] + c.vector[s.idx_e:]
+            for c in s.ne_curves() if c.factor != 2]
+    assert doubled == dual_by_facet_enumeration(rows)
+
+
 def test_t_sets():
-    assert len(sc.t1_divisors(sc.build_scenario(0, 0))) == 1
-    assert len(sc.t1_divisors(sc.build_scenario(2, 0))) == 2
-    assert len(sc.t1_divisors(sc.build_scenario(3, 0))) == 5
     assert len(sc.t_divisors(sc.build_scenario(3, 0))) == 10
     s = sc.build_scenario(1, 1)
     names = [nv.name for nv in sc.t_divisors(s)]
@@ -169,10 +192,7 @@ def test_factor_block_witness_clean():
     for r1 in range(4):
         for r2 in range(9):
             s = sc.build_scenario(r1, r2)
-            lift_witness, unlifted, reduced = sc._block_split(s)
-            assert (lift_witness, unlifted) == (None, None), (r1, r2)
-            assert len(reduced) == sum(c.factor != 2 for c in s.ne_curves())
-            assert all(len(v) == r1 + 3 for v in reduced)
+            assert sc._block_split(s) == (None, None), (r1, r2)
 
 
 @pytest.mark.parametrize("r1", range(4))
@@ -231,6 +251,57 @@ def test_theorem_broken_lift_is_refuted(r1, r2):
                                      "reason": "lift rule violated"}
     assert v.equality_status == sc.EQ_UNEQUAL
     assert not v.ok
+
+
+def _bent(s, name, slot):
+    """The catalog with one more on one slot of the named curve."""
+    out = []
+    for c in s.curves:
+        if c.name == name:
+            v = list(c.vector)
+            v[slot] += 1
+            c = dataclasses.replace(c, vector=tuple(v))
+        out.append(c)
+    return _with_curves(s, out)
+
+
+@pytest.mark.parametrize("r1,r2", [(1, 3), (2, 8)])
+def test_theorem_broken_first_factor_lift_is_refuted(r1, r2):
+    s = sc.build_scenario(r1, r2)
+    # Every claimed divisor has H1 >= 0, so no pairing turns negative.
+    v = sc.verify_theorem(_bent(s, "e1_1", s.idx_h1))
+    assert v.containment_witness == {"curve": "e1_1",
+                                     "reason": "lift rule violated"}
+    assert v.equality_status == sc.EQ_UNEQUAL
+    assert v.equality_witness == v.containment_witness
+
+
+@pytest.mark.parametrize("r1,r2", [(1, 3), (2, 8)])
+def test_theorem_unlifted_first_factor_generator_is_refuted(r1, r2):
+    s = sc.build_scenario(r1, r2)
+    dropped = s.curve("l1_1")
+    # the class on dP_{r1+1}: the line through the first point and E0
+    assert dropped.factor_class == (1, -1) + (0,) * (r1 - 1) + (-1,)
+    v = sc.verify_theorem(_with_curves(
+        s, (c for c in s.curves if c.name != "l1_1")))
+    assert v.containment_ok
+    assert v.equality_status == sc.EQ_UNEQUAL
+    assert v.equality_witness == {
+        "factor_class": dropped.factor_class,
+        "reason": "NE(dP_{r1+1}) generator not lifted"}
+
+
+@pytest.mark.parametrize("r1,r2", [(0, 0), (2, 5)])
+def test_theorem_broken_f_split_is_refuted(r1, r2):
+    s = sc.build_scenario(r1, r2)
+    v = sc.verify_theorem(_bent(s, "f", s.idx_h1))
+    assert v.containment_witness == {"curve": "f",
+                                     "reason": "F split violated"}
+    assert v.equality_status == sc.EQ_UNEQUAL and not v.ok
+    v = sc.verify_theorem(_with_curves(
+        s, (c for c in s.curves if c.name != "e")))
+    assert v.equality_witness == {"factor_class": "e",
+                                  "reason": "fiber not lifted"}
 
 
 # ---------------------------------------------------------------------------
