@@ -9,8 +9,7 @@ The package has six parts:
 * :mod:`moricone.delpezzo` — numerical models of del Pezzo surfaces: Picard
   lattice, (-1)-classes, NE generators, nef cone.
 * :mod:`moricone.blowup` — the two-step blowup engine: relative cones,
-  intersection table, the restricted conormal degrees and fiber structure,
-  and the contraction classifier.
+  intersection table and the contraction classifier.
 * :mod:`moricone.certificates` — chain- and grid-style nefness certificates,
   their verifiers, and the product-certificate builder.
 * :mod:`moricone.scenario` — the del Pezzo product scenario: curve catalog,

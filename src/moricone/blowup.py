@@ -12,7 +12,7 @@ between them is the 2x2 matrix returned by :func:`relative_pairing`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cones import EqualityVerdict, PolyCone, cones_equal, dual, generated
 
@@ -60,17 +60,6 @@ class ContractionReport:
     exceptional_component_codims: tuple[int, ...]
     target_description: str
     birational_modification: str  # "flip" | "flop" | "none"
-
-
-@dataclass(frozen=True)
-class FiberStructure:
-    ambient_dim: int        # the fiber component W_z sits over P^(ambient_dim)
-    center_codim: int       # codim of the blown-up linear subspace in it
-    bundle_fiber_dim: int   # F_z is a P^(bundle_fiber_dim)-bundle
-    bundle_base_dim: int    # ... over P^(bundle_base_dim)
-    component_count: int
-    w_description: str = field(compare=False)
-    f_description: str = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -150,45 +139,3 @@ def classify(params: ConstructionParams) -> ContractionReport:
         birational_modification=modification,
     )
 
-
-# ---------------------------------------------------------------------------
-# conormal-bundle degree splittings
-# ---------------------------------------------------------------------------
-
-def _check_abc(a: int, b: int, c: int) -> None:
-    if a < 2 or b < 2:
-        raise ValueError("both codimensions must be at least 2")
-    if not (1 <= c <= min(a, b)):
-        raise ValueError(
-            f"defect must satisfy 1 <= c <= min(a, b) = {min(a, b)}, got {c}")
-
-
-def conormal_restricted(a: int, b: int, c: int) -> dict[int, int]:
-    """Degrees of the second center's conormal restricted to a first-step
-    fiber line, as {degree: multiplicity}: O^(b-c) + O(-1)^c."""
-    _check_abc(a, b, c)
-    return {d: m for d, m in ((-1, c), (0, b - c)) if m}
-
-
-def fiber_structure(a: int, b: int, c: int) -> FiberStructure:
-    """Numeric shape of the fiber over a point of an intersection component
-    with defect c."""
-    _check_abc(a, b, c)
-    base_dim = a - 1 - c
-    return FiberStructure(
-        ambient_dim=a - 1,
-        center_codim=c,
-        bundle_fiber_dim=b - 1,
-        bundle_base_dim=base_dim,
-        component_count=1 if b == c else 2,
-        w_description=(
-            f"blowup of P^{a - 1} along a linear subspace of codim {c} "
-            f"(dim {base_dim})"),
-        f_description=f"P^{b - 1}-bundle over P^{base_dim}",
-    )
-
-
-def minus_EF_nef_on_fiber(a: int, b: int, c: int) -> bool:
-    """Nefness of -(E+F) on the fiber component: the twist by +1 of the
-    restricted conormal must have all degrees >= 0."""
-    return all(d + 1 >= 0 for d in conormal_restricted(a, b, c))

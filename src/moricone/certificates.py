@@ -204,36 +204,35 @@ class GridCertificate:
                 raise CertificateError(
                     "the corner step must not carry a next-stratum class "
                     "(its continuations are the grid classes)")
-        grid = {(i, j) for i in range(c, a + 1) for j in range(c, b + 1)}
-        missing = grid - self.cells.keys()
-        if missing:
-            raise CertificateError(f"missing grid cell {min(missing)}")
-        outside = self.cells.keys() - grid
+        # Extents may be huge: count and range-check the listed cells; the
+        # row-major scan for a missing one ends within len(cells) + 1 steps.
+        rows, cols = range(c, a + 1), range(c, b + 1)
+        outside = sorted(k for k in self.cells
+                         if k[0] not in rows or k[1] not in cols)
+        if len(self.cells) - len(outside) < (a - c + 1) * (b - c + 1):
+            missing = next((i, j) for i in rows for j in cols
+                           if (i, j) not in self.cells)
+            raise CertificateError(f"missing grid cell {missing}")
         if outside:
             raise CertificateError(
-                f"grid cells outside [{c}..{a}] x [{c}..{b}]: "
-                f"{sorted(outside)}")
-        for i in range(c, a + 1):
-            for j in range(c, b + 1):
-                cell = self.cells[(i, j)]
-                if (cell.right_class is None or cell.right_map is None) \
-                        and i < a:
-                    raise CertificateError(
-                        f"cell ({i}, {j}) needs a class and a restriction "
-                        f"toward ({i + 1}, {j})")
-                if (cell.down_class is None or cell.down_map is None) \
-                        and j < b:
-                    raise CertificateError(
-                        f"cell ({i}, {j}) needs a class and a restriction "
-                        f"toward ({i}, {j + 1})")
-                if i < a and len(cell.right_map) != self.cells[(i + 1, j)].stratum.rank:
-                    raise CertificateError(
-                        f"cell ({i}, {j}): restriction rows do not match the "
-                        f"rank of cell ({i + 1}, {j})")
-                if j < b and len(cell.down_map) != self.cells[(i, j + 1)].stratum.rank:
-                    raise CertificateError(
-                        f"cell ({i}, {j}): restriction rows do not match the "
-                        f"rank of cell ({i}, {j + 1})")
+                f"grid cells outside [{c}..{a}] x [{c}..{b}]: {outside}")
+        for (i, j), cell in sorted(self.cells.items()):
+            if (cell.right_class is None or cell.right_map is None) and i < a:
+                raise CertificateError(
+                    f"cell ({i}, {j}) needs a class and a restriction "
+                    f"toward ({i + 1}, {j})")
+            if (cell.down_class is None or cell.down_map is None) and j < b:
+                raise CertificateError(
+                    f"cell ({i}, {j}) needs a class and a restriction "
+                    f"toward ({i}, {j + 1})")
+            if i < a and len(cell.right_map) != self.cells[(i + 1, j)].stratum.rank:
+                raise CertificateError(
+                    f"cell ({i}, {j}): restriction rows do not match the "
+                    f"rank of cell ({i + 1}, {j})")
+            if j < b and len(cell.down_map) != self.cells[(i, j + 1)].stratum.rank:
+                raise CertificateError(
+                    f"cell ({i}, {j}): restriction rows do not match the "
+                    f"rank of cell ({i}, {j + 1})")
         corner = self.outer[c].child
         if not corner.same_shape(self.cells[(c, c)].stratum):
             raise CertificateError(

@@ -35,9 +35,6 @@ class DelPezzoLattice:
     def canonical_class(self) -> tuple[int, ...]:
         return (-3,) + (1,) * self.r
 
-    def basis_names(self) -> tuple[str, ...]:
-        return ("H",) + tuple(f"E{j}" for j in range(1, self.r + 1))
-
 
 def build(r: int) -> DelPezzoLattice:
     return DelPezzoLattice(r)

@@ -473,16 +473,15 @@ class RefutationResult:
     certificate: tuple[Fraction, ...]
 
 
-def refutation_system(relaxed: bool = False) -> LinearProgram:
+def refutation_system() -> LinearProgram:
     """The four-constraint system over (alpha2, beta_1, beta_2, gamma) whose
     infeasibility certifies that no boundary can make the pair log Fano once
     the second factor is blown up at two or more points."""
-    strict = ">=" if relaxed else ">"
     return LinearProgram(4, (
         constraint((1, 1, 0, 0), ">=", 0, label="alpha2+beta_1 >= 0"),
         constraint((1, 0, 1, 0), ">=", 0, label="alpha2+beta_2 >= 0"),
-        constraint((0, 1, 0, 1), strict, -1, label="1+beta_1+gamma > 0"),
-        constraint((-1, -1, -1, -1), strict, 1,
+        constraint((0, 1, 0, 1), ">", -1, label="1+beta_1+gamma > 0"),
+        constraint((-1, -1, -1, -1), ">", 1,
                    label="1+alpha2+beta_1+beta_2+gamma < 0"),
     ))
 

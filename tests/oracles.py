@@ -6,6 +6,7 @@ instead of double description / simplex / coordinate DFS), so agreement is
 meaningful.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, isqrt
@@ -211,3 +212,13 @@ def t_certificates_agree_with_membership(s):
             results[name] = {"membership": member, "certificate": verdict.ok,
                              "agree": member == verdict.ok}
     return results
+
+
+def relaxed_refutation_system():
+    """``scenario.refutation_system`` with its strict rows made non-strict:
+    the boundary point it then admits shows that strictness is what makes
+    the refutation infeasible."""
+    lp = sc.refutation_system()
+    return dataclasses.replace(lp, constraints=tuple(
+        dataclasses.replace(c, relation=">=") if c.relation == ">" else c
+        for c in lp.constraints))

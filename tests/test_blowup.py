@@ -3,10 +3,7 @@ import pytest
 from moricone.blowup import (
     ConstructionParams,
     classify,
-    conormal_restricted,
-    fiber_structure,
     k_degree,
-    minus_EF_nef_on_fiber,
     relative_cones,
     relative_pairing,
 )
@@ -148,55 +145,3 @@ def test_classification_grid_invariants(a, b):
             assert (r.birational_modification == "flip") == (r.is_small and a > b)
             assert (r.birational_modification == "flop") == (r.is_small and a == b)
 
-
-# ---------------------------------------------------------------------------
-# restricted conormal degrees
-# ---------------------------------------------------------------------------
-
-def test_conormal_restricted():
-    assert conormal_restricted(2, 2, 1) == {0: 1, -1: 1}
-    assert conormal_restricted(4, 3, 2) == {0: 1, -1: 2}
-    assert conormal_restricted(3, 3, 3) == {-1: 3}
-    with pytest.raises(ValueError):
-        conormal_restricted(4, 3, 0)
-    with pytest.raises(ValueError):
-        conormal_restricted(4, 3, 4)
-
-
-def test_conormal_restricted_total_is_rank():
-    for a in range(2, 9):
-        for b in range(2, 9):
-            for c in range(1, min(a, b) + 1):
-                assert sum(conormal_restricted(a, b, c).values()) == b
-
-
-# ---------------------------------------------------------------------------
-# fiber structure
-# ---------------------------------------------------------------------------
-
-def test_fiber_structure_two_components():
-    fs = fiber_structure(3, 2, 1)
-    assert fs.component_count == 2
-    assert fs.ambient_dim == 2 and fs.center_codim == 1
-    assert fs.bundle_fiber_dim == 1 and fs.bundle_base_dim == 1
-    assert "P^1-bundle over P^1" in fs.f_description
-
-
-def test_fiber_structure_one_component_iff_b_equals_c():
-    assert fiber_structure(4, 3, 3).component_count == 1
-    assert fiber_structure(4, 3, 2).component_count == 2
-    for a in range(2, 7):
-        for b in range(2, 7):
-            for c in range(1, min(a, b) + 1):
-                fs = fiber_structure(a, b, c)
-                assert (fs.component_count == 1) == (b == c)
-
-
-def test_minus_EF_nef_on_fiber_always_true():
-    assert minus_EF_nef_on_fiber(4, 3, 2)
-    twisted = {d + 1: m for d, m in conormal_restricted(4, 3, 2).items()}
-    assert twisted == {1: 1, 0: 2}
-    for a in range(2, 9):
-        for b in range(2, 9):
-            for c in range(1, min(a, b) + 1):
-                assert minus_EF_nef_on_fiber(a, b, c)

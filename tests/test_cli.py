@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import tempfile
 import sys
@@ -198,12 +199,27 @@ def test_cert_verify_non_array_vector_is_input_error(tmp_path, kind, slot,
     assert _verify_doc(tmp_path, doc) == EXIT_ERROR
 
 
-@pytest.mark.parametrize("change", ["repeated", "beyond_a", "before_c"])
+@pytest.mark.parametrize("change", ["repeated", "beyond_a", "before_c",
+                                    "a_huge", "b_huge"])
 def test_cert_verify_grid_needs_exact_cell_set(tmp_path, change):
     # A repeated cell would silently replace the first copy, and a cell
-    # outside [c..a] x [c..b] would never be read.
+    # outside [c..a] x [c..b] would never be read.  Huge extents must be
+    # refused from the listed cells alone, so they run in a child process
+    # under a time and memory limit: enumerating the grid would hang.
     doc = json.loads((_CERTS / "tsukioka_2_2_2_grid.json").read_text())
     assert _verify_doc(tmp_path, doc) == EXIT_VERIFIED
+    if change.endswith("_huge"):
+        doc[change[0]] = 10**30
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "moricone.cli", "cert", "verify", str(p)],
+            capture_output=True, text=True, env=_child_env(), timeout=10,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        assert proc.returncode == EXIT_ERROR, proc.stderr
+        assert "missing grid cell" in proc.stderr
+        return
     extra = dict(doc["cells"][0])
     if change == "beyond_a":
         extra["i"] = doc["a"] + 1
@@ -450,6 +466,35 @@ def test_no_assert_statements_guard_verdicts():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), \
             path.name
+
+
+# Only tests call it today; ROADMAP item 2 puts it on the verdict path.
+_UNREACHED_ALLOWED = {"scenario.t_divisor_certificates"}
+
+
+def test_every_top_level_definition_is_reached():
+    # A function or class that only tests call is dead weight: every
+    # top-level def and class must be named from the package, the benchmark
+    # or the scripts (by name, attribute, import or string, as TRACED does).
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "moricone").glob("*.py"))
+    refs = set()
+    for path in [*package, *root.glob("perfbench/**/*.py"),
+                 *root.glob("scripts/**/*.py")]:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+            elif isinstance(n, ast.alias):
+                refs.add(n.name)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                refs.add(n.value)
+    unreached = {f"{path.stem}.{n.name}" for path in package
+                 for n in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                 and n.name not in refs}
+    assert unreached == _UNREACHED_ALLOWED
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from moricone.cones import (check_infeasibility_certificate,
                             lp_feasible)
 
 from .oracles import (dual_by_facet_enumeration, reference_catalog,
-                      reference_t1, t_certificates_agree_with_membership)
+                      reference_t1, relaxed_refutation_system,
+                      t_certificates_agree_with_membership)
 
 # ---------------------------------------------------------------------------
 # catalog structure
@@ -408,7 +409,7 @@ def test_refutation_all_r2(r2):
     assert check_infeasibility_certificate(res.lp, res.certificate)
     assert all(m >= 0 for m in res.certificate)
     # the relaxed system admits the boundary point
-    relaxed = sc.refutation_system(relaxed=True)
+    relaxed = relaxed_refutation_system()
     pt = lp_feasible(relaxed).point
     for c in relaxed.constraints:
         val = sum(a * x for a, x in zip(c.coeffs, pt))
@@ -417,7 +418,7 @@ def test_refutation_all_r2(r2):
 
 def test_refutation_strictness_is_essential():
     strict = lp_feasible(sc.refutation_system())
-    relaxed = lp_feasible(sc.refutation_system(relaxed=True))
+    relaxed = lp_feasible(relaxed_refutation_system())
     assert not strict.feasible
     assert relaxed.feasible
 
