@@ -9,14 +9,18 @@ next stratum stays nef; a *grid certificate* does the same over a rectangular
 grid of strata below an outer chain, subtracting both neighbor classes.
 
 Product certificates are assembled from two factor grids by interleaving
-their chains so that each unit step moves exactly one factor; the admissible
-interleavings are selected by six nefness side conditions (two per axis).
+their chains so that each unit step moves exactly one factor; the factors'
+own nefness conditions (root, A-edge, B-edge) choose each interleaving.
+:func:`factor_grids` builds the factor grids of both worked constructions,
+the point x hypersurface fixtures and the del Pezzo scenario's T divisors,
+from one chain per factor.
 
 Everything is exact: entries are ints or fractions, never floats.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -407,48 +411,35 @@ def identity_matrix(n: int) -> Mat:
                        for j in range(n)) for i in range(n))
 
 
-def _condition_root_nef(g: GridCertificate) -> Optional[CheckRecord]:
-    """Nefness of the factor divisor on the factor's root stratum; None means
-    the condition holds, otherwise the failing check is returned."""
-    root = g.outer[0]
-    rec = _run_check(root.child, _apply(root.restriction, g.divisor),
-                     f"root ({root.child.id})")
-    return None if rec.passed else rec
+def _conditions(g: GridCertificate) -> tuple[Optional[CheckRecord], ...]:
+    """The first failing check of each factor condition, None where it holds:
+    nefness of the divisor on the root stratum, then single-difference
+    nefness along the A-edge (cells (x, c) minus their right class) and along
+    the B-edge (cells (c, y) minus their down class)."""
+    values, outer_values = _propagate_grid(g)
+    root = g.outer[0].child
+    found = [[_run_check(root, outer_values[0], f"root ({root.id})")]]
+    for axis, end in (("A", g.a), ("B", g.b)):
+        found.append([])
+        for t in range(g.c, end):
+            at = (t, g.c) if axis == "A" else (g.c, t)
+            cell = g.cells[at]
+            nxt = cell.right_class if axis == "A" else cell.down_class
+            found[-1].append(_run_check(
+                cell.stratum, _sub(values[at], nxt),
+                f"{axis}-chain cell ({at[0]},{at[1]}) ({cell.stratum.id})"))
+    return tuple(next((r for r in recs if not r.passed), None) for recs in found)
 
 
-def _condition_edge(g: GridCertificate, axis: str) -> Optional[CheckRecord]:
-    """Single-difference nefness along the factor's A-chain edge (axis "A":
-    cells (x, c) minus their right class) or B-chain edge (axis "B": cells
-    (c, y) minus their down class)."""
-    values, _ = _propagate_grid(g)
-    for t in range(g.c, g.a if axis == "A" else g.b):
-        at = (t, g.c) if axis == "A" else (g.c, t)
-        cell = g.cells[at]
-        nxt = cell.right_class if axis == "A" else cell.down_class
-        rec = _run_check(cell.stratum, _sub(values[at], nxt),
-                         f"{axis}-chain cell ({at[0]},{at[1]}) "
-                         f"({cell.stratum.id})")
-        if not rec.passed:
-            return rec
-    return None
-
-
-def _pick(pair_name: str, first_num: int, conds, allowed) -> int:
-    """Choose the lowest-numbered admissible alternative of a pair."""
-    failures = []
-    for offset, cond in enumerate(conds):
-        num = first_num + offset
-        if not allowed[num - 1]:
-            failures.append((num, "disabled by selector flags"))
-            continue
-        failing = cond()
-        if failing is None:
-            return num
-        failures.append(
-            (num, f"fails at {failing.location}: value {failing.value} "
-                  f"pairs {failing.witness_pairing} with curve "
-                  f"{failing.witness_curve}"))
-    detail = "; ".join(f"({n}) {msg}" for n, msg in failures)
+def _pick(pair_name: str, first_num: int, failing) -> int:
+    """Choose the lowest-numbered alternative whose factor condition holds."""
+    for offset, rec in enumerate(failing):
+        if rec is None:
+            return first_num + offset
+    detail = "; ".join(
+        f"({first_num + offset}) fails at {rec.location}: value {rec.value} "
+        f"pairs {rec.witness_pairing} with curve {rec.witness_curve}"
+        for offset, rec in enumerate(failing))
     raise CertificateError(
         f"no admissible case selector satisfied for the {pair_name} pair: "
         f"{detail}")
@@ -482,63 +473,57 @@ def _move(k: int, cls: Vec, m: Mat, s1: Stratum, s2: Stratum) -> tuple[Vec, Mat]
             _block_diag(identity_matrix(s1.rank), s1.rank, m, s2.rank))
 
 
-def _a_chain(g: GridCertificate) -> list[tuple[Stratum, Mat, Optional[Vec]]]:
-    """(stratum, restriction into it, class of the next stratum) from the
-    root down the outer chain and on along the grid's A-edge, cells (q, c)."""
+def _a_chain(g: GridCertificate) -> list[ChainStep]:
+    """The steps from the root down the outer chain and on along the grid's
+    A-edge, cells (q, c)."""
     edge = [g.cells[(q, g.c)] for q in range(g.c, g.a + 1)]
-    chain = [(s.child, s.restriction, s.next_class) for s in g.outer[:-1]]
-    chain.append((g.outer[-1].child, g.outer[-1].restriction,
-                  edge[0].right_class))
-    chain += [(cell.stratum, prev.right_map, cell.right_class)
-              for prev, cell in zip(edge, edge[1:])]
-    return chain
+    corner = g.outer[-1]
+    return [*g.outer[:-1],
+            ChainStep(child=corner.child, restriction=corner.restriction,
+                      next_class=edge[0].right_class),
+            *(ChainStep(child=cell.stratum, restriction=prev.right_map,
+                        next_class=cell.right_class)
+              for prev, cell in zip(edge, edge[1:]))]
 
 
 def _interleave(chains, roots: tuple[int, int], path) -> list[ChainStep]:
     """Product chain along a path from (0, 0) through two factor chains: a
     step's restriction comes from the move into it, its next class from the
     move out of it (none at the path's end)."""
-    restriction = _block_diag(chains[0][0][1], roots[0],
-                              chains[1][0][1], roots[1])
+    restriction = _block_diag(chains[0][0].restriction, roots[0],
+                              chains[1][0].restriction, roots[1])
     steps = []
     for j, pos in enumerate(path):
-        s1, s2 = chains[0][pos[0]][0], chains[1][pos[1]][0]
+        s1, s2 = chains[0][pos[0]].child, chains[1][pos[1]].child
         next_class = next_map = None
         if j + 1 < len(path):
             k = _mover(pos, path[j + 1])
-            next_class, next_map = _move(k, chains[k][pos[k]][2],
-                                         chains[k][pos[k] + 1][1], s1, s2)
+            next_class, next_map = _move(k, chains[k][pos[k]].next_class,
+                                         chains[k][pos[k] + 1].restriction,
+                                         s1, s2)
         steps.append(ChainStep(child=_product_stratum(s1, s2),
                                restriction=restriction, next_class=next_class))
         restriction = next_map
     return steps
 
 
-def build_product_certificates(
-        f1: GridCertificate, f2: GridCertificate,
-        allowed: Sequence[bool] = (True,) * 6) -> ProductCertificates:
+def build_product_certificates(f1: GridCertificate,
+                               f2: GridCertificate) -> ProductCertificates:
     """Assemble product chain and grid certificates from two factor grids.
 
     The interleavings mirror the product nefness lemmas: the outer chain
     moves the factor whose divisor is *not* globally nef first (alternatives
     1/2), the row chains are keyed to which factor's B-chain differences are
     nef (5/6), and the column chains to which factor's A-chain differences
-    are nef (3/4).  The lowest-numbered admissible alternative of each pair
-    is chosen; if a pair has none, the first violated factor condition is
+    are nef (3/4).  Both factors' conditions are checked up front; the
+    lowest-numbered alternative of each pair whose condition holds is
+    chosen, and if a pair has none, each factor's first violated check is
     reported.
     """
-    if len(allowed) != 6:
-        raise CertificateError("selector flags must have exactly six entries")
-    factors = (f1, f2)
-    x_case = _pick("globally-nef-divisor", 1,
-                   [lambda g=g: _condition_root_nef(g) for g in factors],
-                   allowed)
-    a_sel = _pick("A-chain", 3,
-                  [lambda g=g: _condition_edge(g, "A") for g in factors],
-                  allowed)
-    b_sel = _pick("B-chain", 5,
-                  [lambda g=g: _condition_edge(g, "B") for g in factors],
-                  allowed)
+    root, a_edge, b_edge = zip(_conditions(f1), _conditions(f2))
+    x_case = _pick("globally-nef-divisor", 1, root)
+    a_sel = _pick("A-chain", 3, a_edge)
+    b_sel = _pick("B-chain", 5, b_edge)
 
     # The factor that walks its chain first: factor 2 (index 1) when factor
     # 1's divisor is nef (1) on the outer chain and the A-chain, when factor
@@ -590,10 +575,17 @@ def _num_out(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _num_in(x) -> Fraction:
     # bool is a subclass of int; a JSON true must not read as 1.
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise CertificateError(f"expected an integer or 'p/q' string, got {x!r}")
+    # Fraction() also reads decimals and exponents, and "1e-99999999" would
+    # make it compute 10**99999999: only what _num_out writes is read.
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise CertificateError(f"not an exact rational: {x!r}")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
@@ -727,62 +719,70 @@ def _certificate_from_dict(data, kind):
 
 
 # ---------------------------------------------------------------------------
-# worked fixtures: blowups of P^n1 x P^n2 (point x degree-d hypersurface)
+# factor grids: X1 x X2 blown up along {point} x A2, then along X1 x {point}
 # ---------------------------------------------------------------------------
+
+def factor_grids(chain1: Sequence[ChainStep], divisor1: Iterable[Number],
+                 chain2: Sequence[ChainStep], divisor2: Iterable[Number]
+                 ) -> tuple[GridCertificate, GridCertificate]:
+    """Factor grids from one chain per factor, each running from the factor's
+    root (an identity restriction) down to a point.
+
+    Factor 1 is one column: its A-chain is all of ``chain1`` and its B-chain
+    is empty.  Factor 2 takes one outer step, from the root to A2 =
+    ``chain2[1]``, and its grid is the single row ``chain2[1:]``, the B-chain
+    from A2 down to a point.
+    """
+    a, b = len(chain1) - 1, len(chain2) - 1
+    cells1 = {(x, 0): GridCell(stratum=s.child, right_class=s.next_class,
+                               right_map=nxt.restriction)
+              for x, (s, nxt) in enumerate(zip(chain1, chain1[1:]))}
+    cells1[(a, 0)] = GridCell(stratum=chain1[a].child)
+    root1 = ChainStep(child=chain1[0].child, restriction=chain1[0].restriction)
+    cells2 = {(1, y): GridCell(stratum=chain2[y].child,
+                               down_class=chain2[y].next_class,
+                               down_map=chain2[y + 1].restriction)
+              for y in range(1, b)}
+    cells2[(1, b)] = GridCell(stratum=chain2[b].child)
+    corner2 = ChainStep(child=chain2[1].child, restriction=chain2[1].restriction)
+    return (GridCertificate(a=a, b=0, c=0, root_rank=chain1[0].child.rank,
+                            outer=(root1,), cells=cells1, divisor=divisor1),
+            GridCertificate(a=1, b=b, c=1, root_rank=chain2[0].child.rank,
+                            outer=(chain2[0], corner2), cells=cells2,
+                            divisor=divisor2))
+
 
 def tsukioka_factors(n1: int, n2: int, d: int) -> tuple[GridCertificate, GridCertificate]:
     """Factor grids for the product of projective spaces construction: the
     first center is {point} x L_d, the second is X_1 x {point} with the point
     on the degree-d hypersurface L_d in P^n2.
 
-    Factor 1 (P^n1): A = point (codim n1), B = everything (codim 0), so the
-    grid is the single column of linear strata P^n1 > P^(n1-1) > ... > point.
-    Factor 2 (P^n2): A = L_d (codim 1), B = point (codim n2), so the outer
-    chain is P^n2 > L_d and the grid is the single row L_d > section > ... >
-    point.  All lattices are rank 1 (hyperplane-class units on the ambient
-    strata, degree units on curves), except rank 0 at points.
+    Factor 1 (P^n1): A = point (codim n1), B = everything (codim 0), so its
+    chain is the linear strata P^n1 > P^(n1-1) > ... > point.  Factor 2
+    (P^n2): A = L_d (codim 1), B = point (codim n2), so its chain is P^n2 >
+    L_d > section > ... > point.  All lattices are rank 1 (hyperplane-class
+    units on the ambient strata, degree units on curves), except rank 0 at
+    points.
     """
     if n1 < 1 or n2 < 2 or d < 1:
         raise ValueError("need n1 >= 1, n2 >= 2, d >= 1")
     unit = ((1,),)
-    one = ((Fraction(1),),)
 
-    # factor 1: a = n1, b = c = 0
-    cells1: dict[tuple[int, int], GridCell] = {}
-    for x in range(n1 + 1):
-        rank = 1 if x < n1 else 0
-        stratum = Stratum(id=f"P^{n1 - x}", rank=rank,
-                          oracle_curves=unit if rank == 1 else ())
-        if x < n1:
-            # restriction to a rank-0 stratum is the empty matrix
-            cells1[(x, 0)] = GridCell(stratum=stratum, right_class=(1,),
-                                      right_map=one if x + 1 < n1 else ())
-        else:
-            cells1[(x, 0)] = GridCell(stratum=stratum)
-    outer1 = (ChainStep(child=cells1[(0, 0)].stratum, restriction=one),)
-    f1 = GridCertificate(a=n1, b=0, c=0, root_rank=1, outer=outer1,
-                         cells=cells1, divisor=(1,))
+    def step(name: str, restriction: Mat, next_class=(1,)) -> ChainStep:
+        return ChainStep(child=Stratum(id=name, rank=1, oracle_curves=unit),
+                         restriction=restriction, next_class=next_class)
 
-    # factor 2: a = c = 1, b = n2.  Stratum y of the row is L_d (y = 1),
-    # S_y, the curve C (y = n2 - 1; L_d itself when n2 = 2) or the point
-    # (y = n2).  Restricting to the curve multiplies hyperplane units by the
-    # surface degree d; restricting to the point gives the empty matrix.
-    def stratum2(y: int) -> Stratum:
-        if y == n2:
-            return Stratum(id="pt", rank=0, oracle_curves=())
-        name = f"L_{d}" if y == 1 else "C" if y == n2 - 1 else f"S_{y}"
-        return Stratum(id=name, rank=1, oracle_curves=unit)
+    def point(name: str) -> ChainStep:
+        # restriction to a rank-0 stratum is the empty matrix
+        return ChainStep(child=Stratum(id=name, rank=0, oracle_curves=()),
+                         restriction=())
 
-    def map_into(y: int) -> Mat:
-        return () if y == n2 else ((d,),) if y == n2 - 1 else one
-
-    root2 = Stratum(id=f"P^{n2}", rank=1, oracle_curves=unit)
-    outer2 = (ChainStep(child=root2, restriction=one, next_class=(d,)),
-              ChainStep(child=stratum2(1), restriction=map_into(1)))
-    cells2 = {(1, y): GridCell(stratum=stratum2(y), down_class=(1,),
-                               down_map=map_into(y + 1))
-              for y in range(1, n2)}
-    cells2[(1, n2)] = GridCell(stratum=stratum2(n2))
-    f2 = GridCertificate(a=1, b=n2, c=1, root_rank=1, outer=outer2,
-                         cells=cells2, divisor=(d,))
-    return f1, f2
+    chain1 = [step(f"P^{n1 - x}", unit) for x in range(n1)] + [point("P^0")]
+    # Stratum y of factor 2 below its root is L_d (y = 1), S_y, the curve C
+    # (y = n2 - 1; L_d itself when n2 = 2) or the point (y = n2).
+    # Restricting to the curve multiplies hyperplane units by the surface
+    # degree d.
+    chain2 = [step(f"P^{n2}", unit, next_class=(d,))]
+    chain2 += [step(f"L_{d}" if y == 1 else "C" if y == n2 - 1 else f"S_{y}",
+                    ((d,),) if y == n2 - 1 else unit) for y in range(1, n2)]
+    return factor_grids(chain1, (1,), chain2 + [point("pt")], (d,))

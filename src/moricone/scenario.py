@@ -41,11 +41,11 @@ from typing import Optional, Sequence
 from . import delpezzo
 from .certificates import (
     ChainStep,
-    GridCell,
     GridCertificate,
     ProductCertificates,
     Stratum,
     build_product_certificates,
+    factor_grids,
     identity_matrix,
 )
 from .cones import (
@@ -113,9 +113,6 @@ class Scenario:
     @property
     def idx_h1(self) -> int:
         return 0
-
-    def idx_e1(self, j: int) -> int:
-        return j  # 1-based j
 
     @property
     def idx_h2(self) -> int:
@@ -520,56 +517,35 @@ def _surface_stratum(name: str, lattice: delpezzo.DelPezzoLattice) -> Stratum:
     return Stratum(id=name, rank=lattice.rank, oracle_curves=oracle)
 
 
-def _curve_for_t1(n1bar: list[int]) -> tuple[int, ...]:
-    """The auxiliary curve class on the first factor used to certify the
-    divisor N1, given by its factor class ``n1bar``: a line through the
-    blown-up point pattern so that N1 - C is nef and N1 . C = 1."""
-    r1 = len(n1bar) - 1
-    if n1bar[0] == 1:  # N1 = H1
-        return (1,) + (0,) * r1
-    negatives = [j for j in range(1, r1 + 1) if n1bar[j] < 0]
-    if len(negatives) == 3:  # N1 = 2H1 - E1 - E2 - E3: C in |N1| itself
+def _curve_for_t1(n1bar: Sequence[int]) -> tuple[int, ...]:
+    """The auxiliary curve class C on the first factor used to certify the
+    divisor N1, given by its factor class ``n1bar``: N1 itself when N1 . N1
+    = 1 (H1, and the conic 2H1 - E1 - E2 - E3), otherwise the line H1 - E1_j
+    through N1's first point j.  Either way N1 - C is nef and N1 . C = 1 on
+    every T1 divisor of r1 <= 3."""
+    if n1bar[0] ** 2 - sum(x * x for x in n1bar[1:]) == 1:
         return tuple(n1bar)
-    # N1 = 2H1 - E_{j1} - E_{j2}: C a line through the first point
-    j1 = negatives[0]
-    return tuple(1 if k == 0 else (-1 if k == j1 else 0)
-                 for k in range(r1 + 1))
+    j = next(k for k in range(1, len(n1bar)) if n1bar[k] < 0)
+    return tuple(1 if k == 0 else -int(k == j) for k in range(len(n1bar)))
 
 
 def factor_grids_for_t1(s: Scenario, n1: NamedVector) -> tuple[GridCertificate, GridCertificate]:
-    """Factor data for certifying N1 + H2 - E (-F): the first factor carries
-    the chain X1 > C > point, the second X2 > A2 (the line class) > point."""
-    lat1, lat2 = s.lattice1, s.lattice2
-    x1 = _surface_stratum("X1", lat1)
-    n1bar = [n1.vector[s.idx_h1]] + [n1.vector[s.idx_e1(j)]
-                                     for j in range(1, s.r1 + 1)]
-    ccls = _curve_for_t1(n1bar)
-    cstrat = Stratum(id="C", rank=1, oracle_curves=((1,),))
-    cells1 = {
-        (0, 0): GridCell(stratum=x1, right_class=tuple(ccls),
-                         right_map=(delpezzo.pairing_row(ccls),)),
-        (1, 0): GridCell(stratum=cstrat, right_class=(1,), right_map=()),
-        (2, 0): GridCell(stratum=Stratum(id="pt", rank=0, oracle_curves=())),
-    }
-    f1 = GridCertificate(a=2, b=0, c=0, root_rank=lat1.rank,
-                         outer=(ChainStep(child=x1,
-                                          restriction=identity_matrix(lat1.rank)),),
-                         cells=cells1, divisor=tuple(n1bar))
-
-    x2 = _surface_stratum("X2", lat2)
-    a2cls = (1,) + (0,) * s.r2
-    a2 = Stratum(id="A2", rank=1, oracle_curves=((1,),))
-    outer2 = (ChainStep(child=x2, restriction=identity_matrix(lat2.rank),
-                        next_class=a2cls),
-              ChainStep(child=a2, restriction=(delpezzo.pairing_row(a2cls),)))
-    cells2 = {
-        (1, 1): GridCell(stratum=a2, down_class=(1,), down_map=()),
-        (1, 2): GridCell(stratum=Stratum(id="pt", rank=0, oracle_curves=())),
-    }
+    """Factor data for certifying N1 + H2 - E (-F): the chains X1 > C > point
+    on the first factor and X2 > A2 (the line class) > point on the second,
+    laid out by :func:`certificates.factor_grids`."""
+    n1bar = n1.vector[:s.r1 + 1]
     h2bar = (1,) + (0,) * s.r2
-    f2 = GridCertificate(a=1, b=2, c=1, root_rank=lat2.rank, outer=outer2,
-                         cells=cells2, divisor=h2bar)
-    return f1, f2
+    chains = []
+    for root, lattice, curve, cls in (("X1", s.lattice1, "C", _curve_for_t1(n1bar)),
+                                      ("X2", s.lattice2, "A2", h2bar)):
+        chains.append((
+            ChainStep(child=_surface_stratum(root, lattice),
+                      restriction=identity_matrix(lattice.rank), next_class=cls),
+            ChainStep(child=Stratum(id=curve, rank=1, oracle_curves=((1,),)),
+                      restriction=(delpezzo.pairing_row(cls),), next_class=(1,)),
+            ChainStep(child=Stratum(id="pt", rank=0, oracle_curves=()),
+                      restriction=())))
+    return factor_grids(chains[0], n1bar, chains[1], h2bar)
 
 
 def t_divisor_certificates(s: Scenario) -> dict[str, ProductCertificates]:

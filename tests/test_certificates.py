@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from moricone import certificates
+from moricone import scenario as sc
 from moricone.certificates import (
     CertificateError,
     ChainCertificate,
     ChainStep,
+    CheckRecord,
     GridCell,
     GridCertificate,
     Stratum,
@@ -313,21 +316,6 @@ def test_explicit_curve_chain_degree_check():
     assert [rec.value for rec in verdict.checks] == [(0,), (3,), ()]
 
 
-def test_selector_flags_all_false():
-    f1, f2 = tsukioka_factors(2, 2, 2)
-    with pytest.raises(CertificateError, match="no admissible case selector"):
-        build_product_certificates(f1, f2, allowed=(False,) * 6)
-
-
-def test_selector_flags_force_alternate_case():
-    f1, f2 = tsukioka_factors(2, 2, 2)
-    built = build_product_certificates(
-        f1, f2, allowed=(False, True, True, True, True, True))
-    assert built.cases[0] == 2
-    assert verify_HE_hypotheses(built.chain).ok
-    assert verify_HEF_hypotheses(built.grid).ok
-
-
 def test_selector_error_reports_first_violated_condition():
     f1, f2 = tsukioka_factors(2, 2, 2)
     # make both root divisors non-nef so the first pair has no admissible case
@@ -340,16 +328,43 @@ def test_selector_error_reports_first_violated_condition():
 
 
 FIXTURES = ((2, 2, 2), (3, 2, 2), (2, 3, 3))
+CELL_3_8 = sc.build_scenario(3, 8)
+
+
+def force_cases(monkeypatch, cases):
+    """Make each pair of the product builder pick its alternative in
+    ``cases``: the other factor's condition fails, while the chosen factor
+    keeps its real condition, so the build still raises if that fails."""
+    real = certificates._conditions
+    calls = itertools.count()
+    failed = CheckRecord(location="forced", value=(), passed=False)
+
+    def forced(g):
+        factor = next(calls) % 2  # the builder asks factor 1, then factor 2
+        return tuple(rec if case - first == factor else failed
+                     for rec, case, first in zip(real(g), cases, (1, 3, 5)))
+    monkeypatch.setattr(certificates, "_conditions", forced)
+
+
+def _factor_pair(source):
+    """The tsukioka fixture (n1, n2, d), or the T1 divisor of cell (3, 8)
+    with that name."""
+    if isinstance(source, tuple):
+        return tsukioka_factors(*source)
+    n1 = next(n for n in sc.t1_divisors(CELL_3_8) if n.name == source)
+    return sc.factor_grids_for_t1(CELL_3_8, n1)
 
 
 @pytest.mark.parametrize("cases", list(itertools.product((1, 2), (3, 4), (5, 6))),
                          ids=lambda t: "".join(map(str, t)))
-@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda t: "_".join(map(str, t)))
-def test_every_alternative_builds_and_verifies(fixture, cases):
+@pytest.mark.parametrize(
+    "fixture", [*FIXTURES, *(n.name for n in sc.t1_divisors(CELL_3_8))],
+    ids=lambda t: "_".join(map(str, t)) if isinstance(t, tuple) else f"T1_3_8_{t}")
+def test_every_alternative_builds_and_verifies(monkeypatch, fixture, cases):
     # Forcing one alternative per pair walks the other interleaving order
     # of the outer chain, the A-chain, the rows or the columns.
-    allowed = [k in cases for k in range(1, 7)]
-    built = build_product_certificates(*tsukioka_factors(*fixture), allowed)
+    force_cases(monkeypatch, cases)
+    built = build_product_certificates(*_factor_pair(fixture))
     assert built.cases == cases
     assert verify_HE_hypotheses(built.chain).ok
     assert verify_HEF_hypotheses(built.grid).ok
@@ -357,12 +372,12 @@ def test_every_alternative_builds_and_verifies(fixture, cases):
 
 @pytest.mark.parametrize("cases", list(itertools.product((1, 2), (3, 4), (5, 6))),
                          ids=lambda t: "".join(map(str, t)))
-def test_alternatives_set_the_walk_order(cases):
+def test_alternatives_set_the_walk_order(monkeypatch, cases):
     # In the fixtures one factor never moves along A or B, so only the outer
     # order shows there; two square grids move both factors on every axis.
     square = make_square_grid(2)
-    allowed = [k in cases for k in range(1, 7)]
-    built = build_product_certificates(square, square, allowed)
+    force_cases(monkeypatch, cases)
+    built = build_product_certificates(square, square)
     assert built.cases == cases
     first = {True: "Z00*Z10", False: "Z10*Z00"}  # factor 2 first, factor 1
     assert [s.child.id for s in built.chain.steps] == \

@@ -142,6 +142,30 @@ def test_cert_verify_boolean_entry_is_input_error(tmp_path):
     assert _verify_doc(tmp_path, doc) == EXIT_ERROR
 
 
+@pytest.mark.parametrize("kind", ["chain", "grid"])
+def test_cert_verify_exponent_number_exits_promptly(tmp_path, kind):
+    # Fraction("1e-99999999") computes 10**99999999, so the file runs in a
+    # child process under a timeout: a hang fails the test, not the suite.
+    doc = json.loads((_CERTS / f"tsukioka_2_2_2_{kind}.json").read_text())
+    doc["divisor"][0] = "1e-99999999"
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "moricone.cli", "cert", "verify", str(p)],
+        capture_output=True, text=True, env=_child_env(), timeout=10)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    assert "not an exact rational" in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", " 2", "+3", "1_000"])
+def test_cert_verify_number_string_must_be_p_over_q(tmp_path, capsys, text):
+    # A number is a JSON integer or a "p/q" string, as the writer emits it.
+    doc = _chain_doc()
+    doc["divisor"][0] = text
+    assert _verify_doc(tmp_path, doc) == EXIT_ERROR
+    assert "not an exact rational" in capsys.readouterr().err
+
+
 def _replace_oracles(node, curves):
     if isinstance(node, dict):
         for key, value in node.items():
@@ -495,6 +519,43 @@ def test_every_top_level_definition_is_reached():
                  if isinstance(n, (ast.FunctionDef, ast.ClassDef))
                  and n.name not in refs}
     assert unreached == _UNREACHED_ALLOWED
+
+
+def test_every_default_parameter_is_passed():
+    # A parameter that only tests set is an option no caller needs: every
+    # defaulted parameter of a top-level function must be passed, by position
+    # or by keyword, by some call in the package, the benchmark or the
+    # scripts.  A starred argument passes nothing.
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "moricone").glob("*.py"))
+    defaulted = {}
+    for path in package:
+        for n in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(n, ast.FunctionDef):
+                positional = n.args.posonlyargs + n.args.args
+                first = len(positional) - len(n.args.defaults)
+                params = [(a.arg, i) for i, a in enumerate(positional)
+                          if i >= first]
+                params += [(a.arg, None) for a, d in zip(n.args.kwonlyargs,
+                                                         n.args.kw_defaults)
+                           if d is not None]
+                for arg, i in params:
+                    defaulted[(path.stem, n.name, arg)] = i
+    passed = set()
+    for path in [*package, *root.glob("perfbench/**/*.py"),
+                 *root.glob("scripts/**/*.py")]:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(n, ast.Call):
+                continue
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            count = next((i for i, a in enumerate(n.args)
+                          if isinstance(a, ast.Starred)), len(n.args))
+            for (_, fn, arg), i in defaulted.items():
+                if fn == name and (i is not None and i < count or any(
+                        k.arg == arg for k in n.keywords)):
+                    passed.add((fn, arg))
+    assert sorted(f"{module}.{fn}({arg}=)" for module, fn, arg in defaulted
+                  if (fn, arg) not in passed) == []
 
 
 # ---------------------------------------------------------------------------
