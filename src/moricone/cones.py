@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Number = Union[int, Fraction]
 IntVector = tuple[int, ...]
@@ -263,15 +264,35 @@ def dual(cone: PolyCone) -> PolyCone:
     bits.  So the test costs one big-integer AND per bit of ``z`` rather
     than a scan over every ray.
 
-    Three guards run on every call and raise :class:`AssertionError` (not
+    Each step classifies every live ray with one big-integer product
+    (:class:`_PackedRays`).  The live rays are packed, by position, into
+    ``d`` column integers of ``W``-bit digits, with ``W`` a whole number of
+    bytes and ``d * max|row entry| * max|ray entry| < 2**(W-2)``; so
+    ``sum(map(mul, row, columns))`` plus one constant holds ``row . r +
+    2**(W-1)`` as the digit of each ray, with no carry between digits.
+    The top bits of that sum and of the sum minus one in every digit give
+    the negative, zero and positive rays at once (``to_bytes``,
+    ``translate``, ``itertools.compress``), and an adjacent pair's two
+    pairings are read from the same digits.  Positions are not slots: new
+    rays take the next positions, and the positions of dead rays are
+    dropped only once they outnumber the live ones, or when a new ray
+    needs a wider ``W``; both re-pack the kept digits from position 0.
+    When the initial rays already need digits wider than
+    ``_WIDEST_PACKED`` bits, each step pairs the row with each live ray
+    instead (:class:`_ListedRays`): such inputs make nearly as many rays
+    as pairings, and encoding the new rays costs more than packing saves.
+
+    Four guards run on every call and raise :class:`AssertionError` (not
     ``assert``, so ``python -O`` keeps them): the kernel witness is
     orthogonal to every generator; each initial ray pairs positively with
-    its own basis row and to zero with the other basis rows; and every
-    output ray pairs nonnegatively with every generator.  The last one
-    checks every (ray, generator) pair with one big-integer product per
-    ray: the generators are packed into ``W``-bit digits, ``W`` one more
-    than the bit length of ``d * max|generator entry| * max|ray entry|``,
-    so no pairing can carry into the next digit
+    its own basis row and to zero with the other basis rows; every packing
+    width keeps ``d * max|generator entry| * max|ray entry|`` below
+    ``2**(W-2)``, so no digit carries into its neighbour; and every output
+    ray pairs nonnegatively with every generator.  The last one checks
+    every (ray, generator) pair with one big-integer product per ray: the
+    generators are packed into ``W``-bit digits, ``W`` one more than the
+    bit length of ``d * max|generator entry| * max|ray entry|``, so no
+    pairing can carry into the next digit
     (:func:`_check_pairings_nonnegative`).
     """
     d = cone.dim
@@ -296,18 +317,18 @@ def dual(cone: PolyCone) -> PolyCone:
     cols = list(masks)
     live = list(range(d))
     alive = (1 << d) - 1
+    pairings = _pairings(d * max(abs(x) for row in rows for x in row), rays)
     for idx in rest_idx:
-        a = rows[idx]
-        svals = {k: sum(map(mul, a, rays[k])) for k in live}
-        zer = [k for k, s in svals.items() if s == 0]
+        signs = pairings.signs(rows[idx])
+        zer = list(compress(live, signs.translate(_IS_ZERO)))
         bit = 1 << len(cols)
         for k in zer:
             masks[k] |= bit
         cols.append(_bitset(zer, len(rays)))
-        neg = [k for k, s in svals.items() if s < 0]
-        if not neg:
+        if _NEGATIVE not in signs:
             continue
-        pos = [k for k, s in svals.items() if s > 0]
+        neg = list(compress(live, signs.translate(_IS_NEGATIVE)))
+        pos = list(compress(live, signs.translate(_IS_POSITIVE)))
         neg_masks = [(kn, masks[kn]) for kn in neg]
         base = len(rays)
         new_masks: list[int] = []
@@ -327,7 +348,7 @@ def dual(cone: PolyCone) -> PolyCone:
                     rest ^= low
                 if common != pair:
                     continue
-                sp, sn = svals[kp], svals[kn]
+                sp, sn = pairings.pairing(kp), pairings.pairing(kn)
                 vec = [sp * x - sn * y for x, y in zip(rays[kn], rays[kp])]
                 rays.append(_reduce_int(vec))
                 new_masks.append(z | bit)
@@ -349,6 +370,7 @@ def dual(cone: PolyCone) -> PolyCone:
         alive |= ((1 << len(new_masks)) - 1) << base
         masks.extend(new_masks)
         live = pos + zer + list(range(base, len(rays)))
+        pairings.update(rays, live)
 
     out = sorted(set(rays[k] for k in live))
     _check_pairings_nonnegative(rows, out)
@@ -387,6 +409,177 @@ def _check_pairings_nonnegative(rows: Sequence[IntVector],
             raise AssertionError("double description produced an invalid ray")
 
 
+# Sign codes of a row's pairings with the live rays (``signs``), and the
+# tables that pick one code out of them by ``bytes.translate``.
+_NEGATIVE, _ZERO, _POSITIVE = 0, 1, 2
+_IS_NEGATIVE, _IS_ZERO, _IS_POSITIVE = (bytes(b == c for b in range(256))
+                                        for c in (_NEGATIVE, _ZERO, _POSITIVE))
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+# Packing pays while the initial rays fit digits this wide.  The del Pezzo
+# and scenario cones (16-bit digits) make one new ray per 6-91 pairings,
+# and their back duals run about twice as fast packed.  The random cones in
+# general position (48-bit digits and up) make one per 1-7 pairings, and
+# encoding each new ray into the columns costs more than packing saves:
+# packed, their duals ran 10-20 % slower than with per-ray products.
+_WIDEST_PACKED = 32
+
+
+def _digit_width(bound: int) -> int:
+    """The fewest whole bytes of bits ``W`` with ``bound < 2**(W-2)``."""
+    return 8 * ((bound.bit_length() + 9) // 8)
+
+
+def _pairings(scale: int, rays: list) -> _PackedRays | _ListedRays:
+    """The pairing source for :func:`dual`: :class:`_PackedRays` when the
+    initial rays fit digits of at most ``_WIDEST_PACKED`` bits, else
+    :class:`_ListedRays`."""
+    top = max(map(abs, chain.from_iterable(rays)))
+    if _digit_width(scale * top) > _WIDEST_PACKED:
+        return _ListedRays(rays)
+    return _PackedRays(scale, rays)
+
+
+class _PackedRays:
+    """The live rays of a double description, packed so that one
+    big-integer product pairs a row with all of them (Kronecker
+    substitution, as in :func:`_check_pairings_nonnegative`).
+
+    Each packed ray holds a position ``i < size``, and ``place[k]`` is the
+    position of slot ``k``: ``columns[j] = sum_i r_i[j] << (W*i)``.  ``W``
+    is :func:`_digit_width` of ``scale * max|ray entry|``, where ``scale =
+    d * max|row entry|`` bounds the pairing of any row, so ``|row . r_i| <
+    2**(W-2)``.  Then ``v = sum_j row[j] * columns[j] + top``, with ``top``
+    holding ``2**(W-1)`` in every digit, has ``row . r_i + 2**(W-1)`` as
+    its ``i``-th digit, in ``[1, 2**W)``: no digit carries into the next or
+    borrows from it.  Positions are not slots: a dead slot keeps its
+    position, unread, until the next re-pack drops it.
+    """
+
+    def __init__(self, scale: int, rays: list):
+        self.scale = scale
+        self.columns = [0] * len(rays[0])
+        self.size = self.ones = self.top = self.known = 0
+        self.place: list[int] = []
+        self._set_width(max(map(abs, chain.from_iterable(rays))))
+        self.update(rays, range(len(rays)))
+
+    def _set_width(self, top_entry: int) -> None:
+        """Choose ``W`` for rays with entries up to ``top_entry``.  Raises
+        :class:`AssertionError` (not ``assert``, so ``python -O`` keeps it)
+        unless ``scale * top_entry < 2**(W-2)``."""
+        bound = self.scale * top_entry
+        w = _digit_width(bound)
+        if bound >= 1 << (w - 2):
+            raise AssertionError("ray digits too narrow for their pairings")
+        self.nbytes = w // 8
+        self.half = 1 << (w - 1)
+        self.limit = ((1 << (w - 2)) - 1) // self.scale
+
+    def update(self, rays: list, live: Sequence[int]) -> None:
+        """Pack the new slots ``rays[known:]`` (all of them in ``live``),
+        forget the slots that left ``live``, and make :meth:`signs` follow
+        the order of ``live``.  Once the dead positions outnumber the live
+        rays, or a new ray has an entry above ``limit``, the kept digits are
+        re-packed from position 0, in a wider ``W`` when needed."""
+        new = rays[self.known:]
+        top_new = max(map(abs, chain.from_iterable(new)), default=0)
+        if top_new > self.limit or self.size + len(new) > 2 * len(live):
+            self._repack([k for k in live if k < self.known], top_new)
+        if new:
+            self._append(new)
+        self.known = len(rays)
+        self.pick = _picker([self.place[k] for k in live])
+
+    def _repack(self, kept: list[int], top_new: int) -> None:
+        """Move the digits of the slots ``kept`` to positions ``0, 1, ...``,
+        widened to fit entries up to ``top_new`` if needed.  Digits are
+        copied as the bytes of ``column + top``, zero-extended, so no ray is
+        encoded again."""
+        nb, top, length = self.nbytes, self.top, self.size * self.nbytes
+        take = _picker([slice(nb * self.place[k], nb * self.place[k] + nb)
+                        for k in kept])
+        offset = self.half
+        if top_new > self.limit:
+            self._set_width(top_new)
+        pad = bytes(self.nbytes - nb)
+        self.size = len(kept)
+        self.ones = int.from_bytes((1).to_bytes(self.nbytes, "little")
+                                   * self.size, "little")
+        self.columns = [
+            int.from_bytes(pad.join(take((c + top).to_bytes(length, "little")))
+                           + pad, "little") - offset * self.ones
+            for c in self.columns]
+        self.top = self.ones << (8 * self.nbytes - 1)
+        for i, k in enumerate(kept):
+            self.place[k] = i
+
+    def _append(self, new: Sequence[IntVector]) -> None:
+        """Encode ``new`` at the next positions: every entry as one
+        offset-binary digit, all columns in one string of bytes."""
+        nb, half, m = self.nbytes, self.half, len(new)
+        flat = b"".join([(x + half).to_bytes(nb, "little")
+                         for x in chain.from_iterable(zip(*new))])
+        block = int.from_bytes(flat, "little")
+        ones = int.from_bytes((1).to_bytes(nb, "little") * m, "little")
+        span, shift = 8 * nb * m, 8 * nb * self.size
+        mask, offset = (1 << span) - 1, half * ones
+        for j in range(len(self.columns)):
+            self.columns[j] += (((block >> (span * j)) & mask) - offset) << shift
+        self.ones += ones << shift
+        self.top = self.ones << (8 * nb - 1)
+        self.place.extend(range(self.size, self.size + m))
+        self.size += m
+
+    def signs(self, row: Sequence[int]) -> bytes:
+        """One sign code per live ray, in the order of ``live``:
+        ``_NEGATIVE``, ``_ZERO`` or ``_POSITIVE`` as ``row . r`` is below,
+        at or above 0.
+
+        The top bit of digit ``i`` of ``v`` is set iff ``row . r_i >= 0``,
+        and that of ``v - ones`` iff ``row . r_i >= 1``; the code is their
+        sum.  ``v``'s bytes are kept for :meth:`pairing`."""
+        v = sum(map(mul, row, self.columns)) + self.top
+        nb, n = self.nbytes, self.size * self.nbytes
+        self.raw = v.to_bytes(n, "little")
+        nonneg = self.raw[nb - 1::nb].translate(_TOP_BIT)
+        positive = (v - self.ones).to_bytes(n, "little")[nb - 1::nb]
+        codes = (int.from_bytes(nonneg, "little")
+                 + int.from_bytes(positive.translate(_TOP_BIT), "little"))
+        return bytes(self.pick(codes.to_bytes(self.size, "little")))
+
+    def pairing(self, k: int) -> int:
+        """``row . rays[k]`` for the row last given to :meth:`signs`, read
+        from the same digit."""
+        i = self.nbytes * self.place[k]
+        return int.from_bytes(self.raw[i:i + self.nbytes], "little") - self.half
+
+
+class _ListedRays:
+    """:class:`_PackedRays`'s interface by one dot product per live ray,
+    for rays too wide to gain from packing."""
+
+    def __init__(self, rays: list):
+        self.rays = rays
+        self.live: Sequence[int] = range(len(rays))
+
+    def update(self, rays: list, live: Sequence[int]) -> None:
+        self.live = live
+
+    def signs(self, row: Sequence[int]) -> bytes:
+        self.vals = {k: sum(map(mul, row, self.rays[k])) for k in self.live}
+        return bytes([(s > 0) + (s >= 0) for s in self.vals.values()])
+
+    def pairing(self, k: int) -> int:
+        return self.vals[k]
+
+
+def _picker(keys: list) -> Callable:
+    """``s -> tuple(s[key] for key in keys)``, as one C call when it can."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda s: tuple(s[key] for key in keys)
+
+
 def _bitset(slots: Iterable[int], n: int) -> int:
     """The int with bit ``k`` set for each ``k`` in ``slots`` (all below
     ``n``), read in one pass from a string of binary digits."""
@@ -417,48 +610,54 @@ def _basis_or_kernel(rows: Sequence[Sequence[Number]], d: int
                                 Optional[IntVector]]:
     """One fraction-free Gauss–Jordan pass over ``rows``.
 
-    Each row is cleared of denominators by :func:`primitive` and carries,
-    after its ``d`` entries, its combination of the chosen rows: a unit
-    entry in the slot it would take.  It is reduced against every stored
-    row by :func:`_eliminate`; if an entry of its first ``d`` is left
-    nonzero, the first such is its pivot, the row is chosen and every
-    stored row is cleared at that pivot by it.  The reduced row is thus a
-    nonzero multiple of the row rational elimination would reduce it to,
-    so the pivots, the chosen indices and the kernel line are the same.
-    Stored row ``k`` reads ``c_k e_{p_k} | T_k`` with ``T_k B = c_k e_{p_k}``
-    for the matrix ``B`` of the chosen rows, and ``L = lcm(c_k)``.
+    A row is first paired with ``kernel``, a basis of the vectors
+    orthogonal to the rows chosen so far (one per free column, built by
+    :func:`_kernel_vectors`): if every pairing is 0, the row is zero or in
+    the span of the chosen rows, and it is skipped with no elimination.  An
+    independent row is cleared of denominators by :func:`primitive` and
+    carries, after its ``d`` entries, its combination of the chosen rows:
+    a unit entry in the slot it takes.  It is reduced against every stored
+    row by :func:`_eliminate`; the first nonzero entry of its first ``d``
+    is its pivot, the row is chosen and every stored row is cleared at that
+    pivot by it.  The reduced row is thus a nonzero multiple of the row
+    rational elimination would reduce it to, so the pivots, the chosen
+    indices and the kernel line are the same.  Stored row ``k`` reads
+    ``c_k e_{p_k} | T_k`` with ``T_k B = c_k e_{p_k}`` for the matrix ``B``
+    of the chosen rows, and ``L = lcm(c_k)``.
 
     When the rows span the space, returns ``(indices, rays, None)``:
     ``indices`` is the first maximal independent subset, scanning in order,
     and ``rays[j]`` is column ``j`` of ``L * B^{-1}`` (entry ``T_k[j] * L /
     c_k`` at ``p_k``) made primitive, so it pairs positively with chosen row
     ``j`` and to zero with the others.  Otherwise returns ``(None, None,
-    z)``: ``z`` has ``L`` at the first free column, ``-e_k[free] * L / c_k``
-    at ``p_k`` and zeros elsewhere, made primitive, so row . z = 0 for all
-    rows.  Both results are checked against the input rows, and a failed
-    check raises :class:`AssertionError`.
+    z)``: ``z`` is the first kernel vector made primitive, so row . z = 0
+    for all rows.  Both results are checked against the input rows, and a
+    failed check raises :class:`AssertionError`.  Only the returned rays
+    and witness go through :func:`_reduce_int`.
     """
     chosen: list[int] = []
     stored: list[list[int]] = []
     pivots: list[int] = []
+    kernel = _kernel_vectors(stored, pivots, d)
     for i, row in enumerate(rows):
+        if not any(_idot(row, z) for z in kernel):
+            continue
         v = list(primitive(row)) + [0] * d
         v[d + len(chosen)] = 1
         for e, p in zip(stored, pivots):
             if v[p]:
                 v = _eliminate(v, e, p)
-        piv = next((j for j in range(d) if v[j]), None)
-        if piv is None:
-            continue
+        piv = next(j for j in range(d) if v[j])
         stored = [_eliminate(e, v, piv) if e[piv] else e for e in stored]
         stored.append(v)
         pivots.append(piv)
         chosen.append(i)
         if len(chosen) == d:
             break
-    by_col = sorted(zip(pivots, stored))
-    scale = lcm(*(e[p] for p, e in by_col))
+        kernel = _kernel_vectors(stored, pivots, d)
     if len(chosen) == d:
+        by_col = sorted(zip(pivots, stored))
+        scale = lcm(*(e[p] for p, e in by_col))
         rays = [_reduce_int([e[d + j] * (scale // e[p]) for p, e in by_col])
                 for j in range(d)]
         for j, r in enumerate(rays):
@@ -467,15 +666,28 @@ def _basis_or_kernel(rows: Sequence[Sequence[Number]], d: int
                 raise AssertionError(
                     "initial ray does not pair with the basis as its inverse")
         return chosen, rays, None
-    free = next(j for j in range(d) if j not in pivots)
-    z = [0] * d
-    z[free] = scale
-    for p, e in by_col:
-        z[p] = -e[free] * (scale // e[p])
-    out = _reduce_int(z)
+    out = _reduce_int(kernel[0])
     if any(_idot(row, out) != 0 for row in rows):
         raise AssertionError("kernel vector is not orthogonal to every row")
     return None, None, out
+
+
+def _kernel_vectors(stored: Sequence[list[int]], pivots: Sequence[int],
+                    d: int) -> list[list[int]]:
+    """One vector per free column ``f``, in column order, orthogonal to
+    every stored row: ``L`` at ``f``, ``-e_k[f] * L / c_k`` at ``p_k`` and
+    zeros elsewhere.  Together they span the kernel of the chosen rows."""
+    scale = lcm(*(e[p] for e, p in zip(stored, pivots)))
+    vectors = []
+    for f in range(d):
+        if f in pivots:
+            continue
+        z = [0] * d
+        z[f] = scale
+        for e, p in zip(stored, pivots):
+            z[p] = -e[f] * (scale // e[p])
+        vectors.append(z)
+    return vectors
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -299,6 +300,57 @@ def test_dual_of_degenerate_cones_matches_oracle_and_round_trips(c):
 
 
 @st.composite
+def big_paraboloid_cones(draw):
+    """Cones over distinct points ``x`` with coordinates up to ``10**6``,
+    lifted to ``(1, x, |x|^2)`` in dimensions 4-6.  Every point gives an
+    extremal ray (strict convexity), so ``dual(dual(C)) == C``; the entries
+    make wide digits that grow as the double description runs."""
+    dim = draw(st.integers(4, 6))
+    points = draw(st.lists(
+        st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * (dim - 2)),
+        min_size=dim, max_size=dim + 4, unique=True))
+    rays = [(1,) + p + (sum(x * x for x in p),) for p in points]
+    assume(_rank_and_kernel(rays, dim)[0] == dim)
+    return generated(dim, rays)
+
+
+@pytest.mark.parametrize("layout", ["by width", "all packed"])
+def test_dual_of_big_paraboloid_cones(monkeypatch, layout):
+    """Packed digits must be right at every width, since a packed run
+    widens as its rays grow: with every input packed, the sampled cases
+    re-pack to a wider ``W`` and compact dead positions.  Under the width
+    rule, these inputs use per-ray products."""
+    seen = Counter()
+    repack = cones._PackedRays._repack
+    listed = cones._ListedRays.__init__
+
+    def counted_repack(self, kept, top_new):
+        seen["widen" if top_new > self.limit else "compact"] += 1
+        repack(self, kept, top_new)
+
+    def counted_listed(self, rays):
+        seen["listed"] += 1
+        listed(self, rays)
+
+    monkeypatch.setattr(cones._PackedRays, "_repack", counted_repack)
+    monkeypatch.setattr(cones._ListedRays, "__init__", counted_listed)
+    if layout == "all packed":
+        monkeypatch.setattr(cones, "_WIDEST_PACKED", float("inf"))
+
+    @given(big_paraboloid_cones())
+    def check(c):
+        d = dual(c)
+        assert list(d.rays) == dual_by_facet_enumeration(c.rays)
+        assert dual(d).rays == c.rays
+
+    check()
+    if layout == "all packed":
+        assert seen["widen"] and seen["compact"] and not seen["listed"]
+    else:
+        assert seen["listed"]
+
+
+@st.composite
 def row_lists(draw):
     """Integer or rational rows, spanning or not; the small entries make
     dependent rows and corank 1 common."""
@@ -421,7 +473,10 @@ def test_final_guard_catches_a_wrong_ray(monkeypatch):
     assert len(calls) > rows.dim
 
 
-def test_final_guard_survives_optimize_flag():
+def _optimized_child(setup):
+    """Run ``dual`` on the dP5 rows in a ``python -O`` child after the
+    ``setup`` line; return what it prints: ``__debug__`` and the message of
+    the ``AssertionError`` raised."""
     root = Path(__file__).resolve().parents[1]
     src = str(Path(cones.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -429,9 +484,10 @@ def test_final_guard_survives_optimize_flag():
         p for p in (src, str(root), env.get("PYTHONPATH")) if p)
     child = (
         "from moricone import cones\n"
-        "from tests.test_cones import _minus_one_rows, _negate_first_new_ray\n"
+        "from tests.test_cones import (_minus_one_rows, _narrow_digits,\n"
+        "                              _negate_first_new_ray)\n"
         "rows = _minus_one_rows(5)\n"
-        "_negate_first_new_ray(setattr, rows.dim)\n"
+        f"{setup}\n"
         "try:\n"
         "    cones.dual(rows)\n"
         "except AssertionError as e:\n"
@@ -439,30 +495,53 @@ def test_final_guard_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == \
+    return proc.stdout.strip()
+
+
+def test_final_guard_survives_optimize_flag():
+    assert _optimized_child("_negate_first_new_ray(setattr, rows.dim)") == \
         "False double description produced an invalid ray"
 
 
 def test_initial_ray_guard_survives_optimize_flag():
-    root = Path(__file__).resolve().parents[1]
-    src = str(Path(cones.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, str(root), env.get("PYTHONPATH")) if p)
-    child = (
-        "from moricone import cones\n"
-        "from tests.test_cones import _minus_one_rows, _negate_first_new_ray\n"
-        "rows = _minus_one_rows(5)\n"
-        "_negate_first_new_ray(setattr, 0)\n"
-        "try:\n"
-        "    cones.dual(rows)\n"
-        "except AssertionError as e:\n"
-        "    print(__debug__, e)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == \
+    assert _optimized_child("_negate_first_new_ray(setattr, 0)") == \
         "False initial ray does not pair with the basis as its inverse"
+
+
+def _narrow_digits(set_attr):
+    """Make every packing width one bit too narrow for the bound it is
+    asked to hold: ``2**(W-2) <= bound``."""
+    set_attr(cones, "_digit_width", lambda bound: bound.bit_length() + 1)
+
+
+def test_width_guard_catches_narrow_digits(monkeypatch):
+    rows = _minus_one_rows(5)
+    _narrow_digits(monkeypatch.setattr)
+    with pytest.raises(AssertionError,
+                       match="ray digits too narrow for their pairings"):
+        dual(rows)
+
+
+def test_width_guard_catches_narrow_digits_on_repack(monkeypatch):
+    """The widths that choose packing and pack the initial rays are right;
+    the one a widening re-pack asks for is too narrow."""
+    rows = _minus_one_rows(6)
+    digit_width = cones._digit_width
+    widths = []
+
+    def narrow_after_first(bound):
+        widths.append(bound)
+        return digit_width(bound) if len(widths) <= 2 else bound.bit_length() + 1
+
+    monkeypatch.setattr(cones, "_digit_width", narrow_after_first)
+    with pytest.raises(AssertionError,
+                       match="ray digits too narrow for their pairings"):
+        dual(rows)
+
+
+def test_width_guard_survives_optimize_flag():
+    assert _optimized_child("_narrow_digits(setattr)") == \
+        "False ray digits too narrow for their pairings"
 
 
 def _packed_guard_passes(rows, rays):
@@ -519,6 +598,62 @@ def test_packed_guard_digit_boundaries(broken):
         pairings = [sum(map(mul, row, ray)) for row in edited]
         assert pairings.count(3 * big) == 3 and min(pairings) == last
         assert _packed_guard_passes(edited, [ray]) is ok
+
+
+@st.composite
+def packing_cases(draw):
+    """Rows and rays as in :func:`pairing_cases`, one pairing pinned to -1,
+    0, +1 or to plus or minus the bound ``d * max|row entry| * max|ray
+    entry|``, which the packed digits must hold without a carry.  The rays
+    are packed in two steps: ``first`` of them, then the rest as new rays
+    after the slots not in ``kept`` die, so appends, compactions and
+    widening re-packs all occur."""
+    d = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-2, 2),
+                      st.integers(-2 ** 80, 2 ** 80))
+    vec = st.lists(entry, min_size=d, max_size=d)
+    rows = draw(st.lists(vec, min_size=1, max_size=5))
+    rays = draw(st.lists(vec, min_size=2, max_size=8))
+    rows[0][0] = draw(st.sampled_from([-1, 1])) * max(1, abs(rows[0][0]))
+    i = draw(st.integers(0, len(rows) - 1))
+    k = draw(st.integers(0, len(rays) - 1))
+    target = draw(st.sampled_from([None, -1, 0, 1, "-bound", "+bound"]))
+    if target in (-1, 0, 1):
+        rows[i][0] = 1
+        rays[k][0] = target - sum(map(mul, rows[i][1:], rays[k][1:]))
+    elif target is not None:
+        top_row = max(abs(x) for row in rows for x in row)
+        top_ray = max(abs(x) for ray in rays for x in ray)
+        rows[i] = [top_row if target == "+bound" else -top_row] * d
+        rays[k] = [top_ray] * d
+    first = draw(st.integers(1, len(rays) - 1))
+    kept = draw(st.lists(st.integers(0, first - 1), unique=True))
+    return ([tuple(v) for v in rows], [tuple(v) for v in rays], first,
+            draw(st.permutations(kept)))
+
+
+@given(packing_cases())
+@example(([(1, 0)], [(2 ** 80, 0), (-(2 ** 80), 0)], 1, []))
+@example(([(1,)], [(0,), (1,), (-1,)], 1, [0]))
+def test_packed_signs_and_digits_match_dot_products(case):
+    rows, rays, first, kept = case
+    d = len(rows[0])
+    table = list(rays[:first])
+    packed = cones._PackedRays(d * max(abs(x) for r in rows for x in r),
+                               table)
+    steps = [list(range(first))]
+    table.extend(rays[first:])
+    steps.append(kept + list(range(first, len(rays))))
+    for i, live in enumerate(steps):
+        if i:
+            packed.update(table, live)
+        for row in rows:
+            dots = [sum(map(mul, row, table[k])) for k in live]
+            assert list(packed.signs(row)) == [(s > 0) + (s >= 0)
+                                               for s in dots]
+            assert [packed.pairing(k) for k in live] == dots
+    # The packed width must have held every pairing, as the guard demands.
+    assert max(abs(x) for ray in rays for x in ray) <= packed.limit
 
 
 # ---------------------------------------------------------------------------
