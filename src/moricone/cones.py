@@ -11,9 +11,10 @@ Conventions
 * Every answer that is not a plain boolean carries a certificate that can be
   re-checked independently: a nonnegative combination, a separating
   functional, or an infeasibility combination.
-* One exact LP engine serves everything: a phase-1 simplex with Bland's
-  rule.  Membership, pointedness and pruning call it directly, and
-  :func:`lp_feasible` reduces a system of ``>=``, ``>`` and ``=`` rows to it.
+* One exact LP engine, a phase-1 simplex with Bland's rule, serves
+  :func:`contains`, :func:`cone_from_rays`, :func:`cones_equal` and
+  :func:`lp_feasible`.  No printed verdict reaches it: those rest on
+  :func:`dual`, exact pairings and :func:`check_infeasibility_certificate`.
 
 All arithmetic uses Python ints and ``fractions.Fraction``; no floats.
 """

@@ -33,7 +33,6 @@ the (-1)-classes for r >= 2, by E1 and H - E1 for r = 1, and by H for r = 0.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -52,10 +51,10 @@ from .cones import (
     LinearProgram,
     PolyCone,
     check_infeasibility_certificate,
-    cones_equal,
     constraint,
+    dot,
     generated,
-    lp_feasible,
+    primitive,
 )
 
 MAX_R1 = 3
@@ -117,9 +116,6 @@ class Scenario:
     @property
     def idx_h2(self) -> int:
         return 1 + self.r1
-
-    def idx_e2(self, j: int) -> int:
-        return 1 + self.r1 + j
 
     @property
     def idx_e(self) -> int:
@@ -190,12 +186,10 @@ def _lift(s: Scenario, factor: int, cls: Sequence[int]) -> tuple[int, ...]:
     return tuple(v)
 
 
-def pairing(divisor: Sequence, curve_vector: Sequence):
-    return sum(a * b for a, b in zip(divisor, curve_vector))
-
-
 def anticanonical(s: Scenario) -> tuple[int, ...]:
-    return ((3,) + (-1,) * s.r1 + (3,) + (-1,) * s.r2 + (-2, -1))
+    """-K_X = -K_1 - K_2 - 2E - F, K_k the canonical class of factor k."""
+    k = s.lattice1.canonical_class + s.lattice2.canonical_class
+    return tuple(-x for x in k) + (-2, -1)
 
 
 def delta_divisor(s: Scenario) -> tuple[Fraction, ...]:
@@ -288,7 +282,7 @@ class TheoremVerdict:
 def _containment_explicit(ne_curves, claimed) -> Optional[dict]:
     for nv in claimed:
         for c in ne_curves:
-            val = pairing(nv.vector, c.vector)
+            val = dot(nv.vector, c.vector)
             if val < 0:
                 return {"divisor": nv.name, "curve": c.name, "pairing": val}
     return None
@@ -342,50 +336,60 @@ def verify_theorem(s: Scenario) -> TheoremVerdict:
     The claim splits the same way: the second-factor pullbacks are
     Nef(S2) x 0 and pair with every curve by the surface pairing or by 0.
     The first-factor pullbacks and T have A2' = 0, their nefness is checked
-    by explicit pairings, and their projections generate Q.  ``cones_equal``
-    decides P = Q with a witness ray.  As the pullbacks come from
-    Nef(dP_{r1}), that checks that the face x_E = 0 of Nef(dP_{r1+1}) is
-    Nef(dP_{r1}) pulled back and that no ray has x_E <= -2.
+    by explicit pairings, and their projections generate Q.  P = Q is then
+    decided on ray sets alone (:func:`_equality`).  As the pullbacks come
+    from Nef(dP_{r1}), that checks that the face x_E = 0 of Nef(dP_{r1+1})
+    is Nef(dP_{r1}) pulled back and that no ray has x_E <= -2.
 
     A curve that breaks the block split is a containment witness (the
     second-factor pullbacks are then not shown nef) and, as the proof does
     not apply, the witness of ``unequal``.  A fiber or factor generator that
     no curve carries, or a claimed divisor outside the first block, is
-    reported ``unequal``.  A ray of P not in Q, or of Q not in P, is reported
-    in full coordinates: A2' = 0 puts minus its E entry on H2.
+    reported ``unequal``.  A ray of P not in Q, or a claim outside P, is
+    reported in full coordinates: A2' = 0 puts minus its E entry on H2.
     """
     first = factor_nef_vectors(s, 1) + t_divisors(s)
     lift_witness, unlifted = _block_split(s)
-    witness = _containment_explicit(s.ne_curves(), first) or lift_witness
+    containment = _containment_explicit(s.ne_curves(), first)
+    witness = containment or lift_witness
     if lift_witness or unlifted:
         equality = EQ_UNEQUAL, lift_witness or unlifted
     else:
-        equality = _equality(s, first)
+        equality = _equality(s, first, containment)
     return TheoremVerdict(s.r1, s.r2, witness is None, witness, *equality)
 
 
-def _equality(s: Scenario, first: Sequence[NamedVector]):
-    """Compare the lemma's P (see :func:`verify_theorem`) with the cone of the
-    projected claims.  Both list primitive rays, so when the claim is exactly
-    the extremal rays of P the comparison needs no LP."""
-    projected = []
+def _equality(s: Scenario, first: Sequence[NamedVector],
+              containment: Optional[dict]):
+    """Compare the lemma's P (see :func:`verify_theorem`) with the cone Q of
+    the projected claims; ``containment`` is the nefness witness of ``first``.
+
+    A claim outside the first block comes first, then a claim that is not
+    nef, hence outside P.  Otherwise Q lies in P, whose extremal rays are
+    exactly (D, 0) and (D, x_E(D)) for the rays D of Nef(dP_{r1+1}).  An
+    extremal ray of a pointed cone is a positive combination of points of
+    that cone only through multiples of itself, so Q = P exactly when every
+    such ray is a primitive projected claim; the first missing one, in
+    sorted order, is the witness.  No LP runs.
+    """
+    projected = set()
     for nv in first:
         v = nv.vector
         if v[s.idx_h2] + v[s.idx_e] or any(v[s.idx_h2 + 1:s.idx_e]):
             return EQ_UNEQUAL, {"divisor": nv.name,
                                 "reason": "outside the first block"}
-        projected.append(v[:s.idx_h2] + v[s.idx_e:])
+        projected.add(primitive(v[:s.idx_h2] + v[s.idx_e:]))
+    if containment:
+        bad = next(nv for nv in first if nv.name == containment["divisor"])
+        return EQ_UNEQUAL, {"ray": primitive(bad.vector),
+                            "only_in": "claimed nef cone"}
     nef = delpezzo.nef_cone(delpezzo.build(s.r1 + 1)).rays
-    doubled = [d + (x,) for d in nef for x in (0, d[-1])]
-    dim = s.r1 + 3
-    verdict = cones_equal(generated(dim, doubled), generated(dim, projected))
-    if verdict.equal:
+    missing = sorted({d + (x,) for d in nef for x in (0, d[-1])} - projected)
+    if not missing:
         return EQ_EQUAL, None
-    z = verdict.witness_ray
+    z = missing[0]
     ray = z[:s.idx_h2] + (-z[s.idx_h2],) + (0,) * s.r2 + z[s.idx_h2:]
-    side = ("dual of the curve cone" if verdict.witness_side == "first-not-in-second"
-            else "claimed nef cone")
-    return EQ_UNEQUAL, {"ray": ray, "only_in": side}
+    return EQ_UNEQUAL, {"ray": ray, "only_in": "dual of the curve cone"}
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +413,7 @@ class ClassificationResult:
 def classify(s: Scenario) -> ClassificationResult:
     minus_k = anticanonical(s)
     ne_curves = s.ne_curves()
-    k_pairings = {c.name: pairing(minus_k, c.vector) for c in ne_curves}
+    k_pairings = {c.name: dot(minus_k, c.vector) for c in ne_curves}
 
     witnesses: dict = {"anticanonical_pairings": k_pairings}
     fano = all(v > 0 for v in k_pairings.values())
@@ -458,7 +462,7 @@ def delta_certificate(s: Scenario) -> dict:
     3 (-K - boundary) and reported divided by 3."""
     thrice = tuple(3 * a - int(3 * d)
                    for a, d in zip(anticanonical(s), delta_divisor(s)))
-    pairings = {c.name: Fraction(pairing(thrice, c.vector), 3)
+    pairings = {c.name: Fraction(dot(thrice, c.vector), 3)
                 for c in s.ne_curves()}
     witness = next((n for n, v in pairings.items() if v <= 0), None)
     return {"ok": witness is None, "witness": witness, "pairings": pairings}
@@ -484,22 +488,13 @@ def refutation_system() -> LinearProgram:
 
 
 def not_fano_type_refutation(s: Scenario) -> RefutationResult:
+    """The refutation system with its Farkas multipliers: rows 2, 3 and 4
+    sum to 0 > 0.  :func:`classify` re-checks them before use."""
     if s.r2 < 2:
         raise ValueError("the refutation applies only when the second factor "
                          "is blown up at two or more points")
-    return _refutation()
-
-
-@functools.cache
-def _refutation() -> RefutationResult:
-    """The refutation system does not depend on the scenario: solve it once."""
-    lp = refutation_system()
-    result = lp_feasible(lp)
-    if result.feasible:
-        raise AssertionError("refutation system unexpectedly feasible")
-    if not check_infeasibility_certificate(lp, result.certificate):
-        raise AssertionError("refutation certificate does not check")
-    return RefutationResult(lp=lp, certificate=tuple(result.certificate))
+    return RefutationResult(lp=refutation_system(),
+                            certificate=tuple(map(Fraction, (0, 1, 1, 1))))
 
 
 def classify_all() -> dict[tuple[int, int], ClassificationResult]:

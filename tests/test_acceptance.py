@@ -19,7 +19,7 @@ from moricone.certificates import (ChainCertificate, GridCertificate,
                                    verify_HEF_hypotheses)
 from moricone.cones import (LinealityError,
                             check_infeasibility_certificate, cone_from_rays,
-                            cones_equal, dual, lp_feasible)
+                            cones_equal, dot, dual, lp_feasible)
 
 from .conftest import CERTS_DIR
 from .oracles import (minus_one_multiset_counts, relaxed_refutation_system,
@@ -121,9 +121,9 @@ def test_criterion_05_delta_certificate_values():
         for j in range(1, r1 + 1):
             assert cert[f"l1_{j}"] == Fraction(1, 3)
             assert cert[f"e1_{j}"] == 1
-            assert sc.pairing(mk, s.curve(f"l1_{j}").vector) == 0
+            assert dot(mk, s.curve(f"l1_{j}").vector) == 0
         assert cert["l2_1"] == Fraction(1, 3)
-        assert sc.pairing(mk, s.curve("l2_1").vector) == 0
+        assert dot(mk, s.curve("l2_1").vector) == 0
 
 
 def test_criterion_06_not_fano_type_lp():

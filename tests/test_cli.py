@@ -474,14 +474,67 @@ def test_internal_error_is_not_a_refutation(monkeypatch, capsys):
 
 
 def test_fano_type_needs_a_checked_refutation(monkeypatch, capsys):
-    """classify re-checks the refutation itself, so a certificate that fails
-    the check is an internal error even when the cached solve passed."""
-    sc.not_fano_type_refutation(sc.build_scenario(0, 2))
+    """classify re-checks the refutation's stored multipliers itself, so a
+    certificate that fails the check is an internal error."""
     monkeypatch.setattr(sc, "check_infeasibility_certificate",
                         lambda lp, mu: False)
     code = run(["dp", "scenario", "--r1", "0", "--r2", "2", "--classify"])
     assert code == EXIT_INTERNAL
     assert "does not check" in capsys.readouterr().err
+
+
+_VERDICT_ARGVS = (
+    [["dp", "scenario", "--r1", str(r1), "--r2", str(r2), "--verify-cones",
+      "--classify", "--json"] for r1 in range(4) for r2 in range(9)]
+    + [["dp", "classify-all"], ["dp", "classify-all", "--format", "json"],
+       ["cones", "relative"]]
+    + [["cert", "verify", str(p)] for p in sorted(_CERTS.glob("*.json"))]
+    + [["cert", "example-tsukioka", "--n1", "2", "--n2", "2", "--d", "2"],
+       ["dp", "minus-one", "--r", "8"],
+       ["classify", "construction", "--a", "4", "--b", "3", "--c", "1,2"]])
+
+
+def _reports(argvs, out):
+    """Exit code, stdout and ``--out`` document of each argv, with
+    ``timing_seconds`` and the ``--out`` path masked."""
+    timing = re.compile(r'"timing_seconds": [0-9.]+')
+    reports = []
+    for argv in argvs:
+        out.unlink(missing_ok=True)
+        code, text = capture(argv + ["--out", str(out)])
+        doc = out.read_text(encoding="utf-8") if out.exists() else None
+        reports.append([code] + [
+            None if x is None
+            else timing.sub('"timing_seconds": 0', x).replace(str(out), "OUT")
+            for x in (text, doc)])
+    return reports
+
+
+def test_no_verdict_reaches_the_simplex(tmp_path):
+    # A fresh process with the simplex replaced by a trap must print every
+    # verdict exactly as the real engine does here.
+    script = "\n".join([
+        "import json, sys",
+        "from pathlib import Path",
+        "from moricone import cones",
+        "from tests.test_cli import _reports",
+        "def trap(*args):",
+        "    raise RuntimeError('the simplex ran')",
+        "cones._phase1_simplex = trap",
+        "print(json.dumps(_reports(json.loads(sys.argv[1]),"
+        " Path(sys.argv[2]))))",
+    ])
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(_VERDICT_ARGVS),
+         str(tmp_path / "trapped.json")],
+        cwd=root, capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    trapped = json.loads(proc.stdout)
+    plain = _reports(_VERDICT_ARGVS, tmp_path / "plain.json")
+    assert len(trapped) == len(plain) == 48
+    for argv, t, p in zip(_VERDICT_ARGVS, trapped, plain):
+        assert t == p, (argv, proc.stderr[-500:])
 
 
 def test_no_assert_statements_guard_verdicts():
@@ -497,9 +550,10 @@ _UNREACHED_ALLOWED = {"scenario.t_divisor_certificates"}
 
 
 def test_every_top_level_definition_is_reached():
-    # A function or class that only tests call is dead weight: every
-    # top-level def and class must be named from the package, the benchmark
-    # or the scripts (by name, attribute, import or string, as TRACED does).
+    # A function, class or method that only tests call is dead weight: every
+    # top-level def and class, and every method and property of a top-level
+    # class, must be named from the package, the benchmark or the scripts
+    # (by name, attribute, import or string, as TRACED does).
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "moricone").glob("*.py"))
     refs = set()
@@ -514,10 +568,18 @@ def test_every_top_level_definition_is_reached():
                 refs.add(n.name)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 refs.add(n.value)
-    unreached = {f"{path.stem}.{n.name}" for path in package
-                 for n in ast.parse(path.read_text(encoding="utf-8")).body
-                 if isinstance(n, (ast.FunctionDef, ast.ClassDef))
-                 and n.name not in refs}
+    # Dunder methods are called by Python itself.
+    defined = []
+    for path in package:
+        for n in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{n.name}", n.name))
+            if isinstance(n, ast.ClassDef):
+                defined += [(f"{path.stem}.{n.name}.{m.name}", m.name)
+                            for m in n.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("__")]
+    unreached = {qualified for qualified, name in defined if name not in refs}
     assert unreached == _UNREACHED_ALLOWED
 
 

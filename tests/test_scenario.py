@@ -11,8 +11,8 @@ from moricone import delpezzo
 from moricone import scenario as sc
 from moricone.certificates import verify_HE_hypotheses, verify_HEF_hypotheses
 from moricone.cones import (check_infeasibility_certificate,
-                            cone_from_rays, cones_equal, contains, dual,
-                            lp_feasible)
+                            cone_from_rays, cones_equal, contains, dot,
+                            dual, lp_feasible, primitive)
 
 from .oracles import (dual_by_facet_enumeration, reference_catalog,
                       reference_t1, relaxed_refutation_system,
@@ -217,7 +217,38 @@ def test_theorem_dropped_t_divisor_is_refuted(monkeypatch, r1, r2):
     assert v.equality_witness["only_in"] == "dual of the curve cone"
     assert len(ray) == s.rho
     assert ray == full[0].vector
-    assert all(sc.pairing(ray, c.vector) >= 0 for c in s.ne_curves())
+    assert all(dot(ray, c.vector) >= 0 for c in s.ne_curves())
+
+
+def test_theorem_non_nef_claim_is_outside_p(monkeypatch):
+    # N1 + H2 - E + F pairs -1 with f: the containment witness names it, and
+    # the same divisor is the ray that only the claimed nef cone has.
+    s = sc.build_scenario(2, 3)
+    full = sc.t_divisors(s)
+    v = list(full[0].vector)
+    v[s.idx_f] += 1
+    bent = dataclasses.replace(full[0], vector=tuple(v))
+    monkeypatch.setattr(sc, "t_divisors", lambda s: (bent,) + full[1:])
+    verdict = sc.verify_theorem(s)
+    assert verdict.containment_witness == {"divisor": bent.name,
+                                           "curve": "f", "pairing": -1}
+    assert verdict.equality_status == sc.EQ_UNEQUAL
+    assert verdict.equality_witness == {"ray": primitive(bent.vector),
+                                        "only_in": "claimed nef cone"}
+
+
+def test_theorem_redundant_claim_is_still_equal(monkeypatch):
+    # The sum of two T divisors is nef but not an extremal ray: the claim no
+    # longer lists exactly the rays of P, yet it generates the same cone.
+    s = sc.build_scenario(2, 3)
+    full = sc.t_divisors(s)
+    extra = sc.NamedVector("sum", tuple(
+        a + b for a, b in zip(full[0].vector, full[1].vector)))
+    monkeypatch.setattr(sc, "t_divisors", lambda s: full + (extra,))
+    verdict = sc.verify_theorem(s)
+    assert verdict.containment_ok
+    assert verdict.equality_status == sc.EQ_EQUAL
+    assert verdict.equality_witness is None
 
 
 def _with_curves(s, curves):
@@ -243,7 +274,7 @@ def test_theorem_broken_lift_is_refuted(r1, r2):
     for c in s.curves:
         if c.name == "e2_1":
             v = list(c.vector)
-            v[s.idx_e2(1)] += 1   # first-block claims are zero there
+            v[s.idx_h2 + 1] += 1   # first-block claims are zero there
             c = dataclasses.replace(c, vector=tuple(v))
         bent.append(c)
     v = sc.verify_theorem(_with_curves(s, bent))
@@ -320,7 +351,7 @@ def test_anticanonical_pairings_frozen():
     expected = {"e": 1, "f": 1, "l1_1": 0, "l1_2": 0, "l1_3": 0,
                 "e1_1": 1, "e1_12": 1, "l2_1": 0, "e2_1": 1}
     for name, val in expected.items():
-        assert sc.pairing(mk, s.curve(name).vector) == val, name
+        assert dot(mk, s.curve(name).vector) == val, name
 
 
 def test_minus_k_negative_curve_r2_2():
@@ -328,7 +359,7 @@ def test_minus_k_negative_curve_r2_2():
     mk = sc.anticanonical(s)
     lifted = next(c for c in s.ne_curves()
                   if c.factor_class == (1, -1, -1))
-    assert sc.pairing(mk, lifted.vector) == -1
+    assert dot(mk, lifted.vector) == -1
 
 
 def test_delta_certificate_frozen_values():
@@ -387,7 +418,7 @@ def test_classification_scale_invariance():
     # verdicts depend only on pairing signs: scaling -K cannot change them
     s = sc.build_scenario(2, 3)
     mk = sc.anticanonical(s)
-    base = {c.name: sc.pairing(mk, c.vector) for c in s.ne_curves()}
+    base = {c.name: dot(mk, c.vector) for c in s.ne_curves()}
     for scale in (Fraction(1, 7), 5):
         scaled = {n: scale * v for n, v in base.items()}
         assert all((v > 0) == (base[n] > 0) for n, v in scaled.items())
@@ -421,6 +452,8 @@ def test_refutation_strictness_is_essential():
     relaxed = lp_feasible(relaxed_refutation_system())
     assert not strict.feasible
     assert relaxed.feasible
+    stored = sc.not_fano_type_refutation(sc.build_scenario(0, 2)).certificate
+    assert strict.certificate == stored
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +501,7 @@ def test_property_invariants(r1, r2):
     # every claimed curve generator pairs nonnegatively with every T divisor
     for nv in sc.t_divisors(s):
         for c in s.ne_curves():
-            assert sc.pairing(nv.vector, c.vector) >= 0
+            assert dot(nv.vector, c.vector) >= 0
 
 
 @given(r2=st.integers(2, 8))
@@ -481,7 +514,7 @@ def test_property_second_factor_swap_symmetry(r2):
         if not c.name.startswith("e2_"):
             continue
         v = list(c.vector)
-        i1, i2 = s.idx_e2(1), s.idx_e2(2)
+        i1, i2 = s.idx_h2 + 1, s.idx_h2 + 2
         v[i1], v[i2] = v[i2], v[i1]
         swapped.append(tuple(v))
     assert sorted(swapped) == lifts
