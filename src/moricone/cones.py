@@ -254,16 +254,16 @@ def dual(cone: PolyCone) -> PolyCone:
     leaves them), and ``alive`` is the same set as a bitset over slots.
     ``cols``, the transpose of ``masks``, holds one bitset over slots per
     processed constraint: bit ``k`` of ``cols[t]`` is set when constraint
-    ``t`` vanishes on slot ``k``.  Each step appends the new constraint's
-    column and ORs its new rays into every column their masks touch, one
-    shifted int per column.  A slot whose ray turns negative is released
-    (``rays[k] = None``, ``masks[k] = 0``) and dropped from ``alive``, so
-    its stale bits in ``cols`` never count.  A positive and a negative ray
-    with common zero set ``z`` are adjacent when ``|z| >= d - 2`` and no
-    third live ray vanishes on all of ``z``: ``alive`` ANDed with
-    ``cols[t]`` for every bit ``t`` of ``z`` leaves just the pair's two
-    bits.  So the test costs one big-integer AND per bit of ``z`` rather
-    than a scan over every ray.
+    ``t`` vanishes on slot ``k``.  Each step builds the new constraint's
+    column bit by bit over its zero rays, and sets each new ray's bit in the
+    column of every constraint its mask holds.  A slot whose ray turns
+    negative is released (``rays[k] = None``, ``masks[k] = 0``) and
+    dropped from ``alive``, so its stale bits in ``cols`` never count.  A
+    positive and a negative ray with common zero set ``z`` are adjacent
+    when ``|z| >= d - 2`` and no third live ray vanishes on all of ``z``:
+    ``alive`` ANDed with ``cols[t]`` for every bit ``t`` of ``z`` leaves
+    just the pair's two bits.  So the test costs one big-integer AND per
+    bit of ``z`` rather than a scan over every ray.
 
     Each step classifies every live ray with one big-integer product
     (:class:`_PackedRays`).  The live rays are packed, by position, into
@@ -277,11 +277,12 @@ def dual(cone: PolyCone) -> PolyCone:
     pairings are read from the same digits.  Positions are not slots: new
     rays take the next positions, and the positions of dead rays are
     dropped only once they outnumber the live ones, or when a new ray
-    needs a wider ``W``; both re-pack the kept digits from position 0.
-    When the initial rays already need digits wider than
-    ``_WIDEST_PACKED`` bits, each step pairs the row with each live ray
-    instead (:class:`_ListedRays`): such inputs make nearly as many rays
-    as pairings, and encoding the new rays costs more than packing saves.
+    needs a wider ``W``; both encode every live ray again from position 0,
+    the same way new rays are encoded.  When the initial rays already need
+    digits wider than ``_WIDEST_PACKED`` bits, each step pairs the row with
+    each live ray instead (:class:`_ListedRays`): such inputs make nearly
+    as many rays as pairings, and encoding the new rays costs more than
+    packing saves.
 
     Four guards run on every call and raise :class:`AssertionError` (not
     ``assert``, so ``python -O`` keeps them): the kernel witness is
@@ -323,9 +324,11 @@ def dual(cone: PolyCone) -> PolyCone:
         signs = pairings.signs(rows[idx])
         zer = list(compress(live, signs.translate(_IS_ZERO)))
         bit = 1 << len(cols)
+        col = 0
         for k in zer:
             masks[k] |= bit
-        cols.append(_bitset(zer, len(rays)))
+            col |= 1 << k
+        cols.append(col)
         if _NEGATIVE not in signs:
             continue
         neg = list(compress(live, signs.translate(_IS_NEGATIVE)))
@@ -353,17 +356,11 @@ def dual(cone: PolyCone) -> PolyCone:
                 vec = [sp * x - sn * y for x, y in zip(rays[kn], rays[kp])]
                 rays.append(_reduce_int(vec))
                 new_masks.append(z | bit)
-        # One shifted int per touched constraint ORs the new slots into cols.
-        added: dict[int, int] = {}
-        for j, m in enumerate(new_masks):
-            jbit = 1 << j
+        for k, m in enumerate(new_masks, base):
             while m:
                 low = m & -m
-                t = low.bit_length() - 1
-                added[t] = added.get(t, 0) | jbit
+                cols[low.bit_length() - 1] |= 1 << k
                 m ^= low
-        for t, b in added.items():
-            cols[t] |= b << base
         for kn in neg:
             alive ^= 1 << kn
             rays[kn] = None
@@ -453,15 +450,17 @@ class _PackedRays:
     holding ``2**(W-1)`` in every digit, has ``row . r_i + 2**(W-1)`` as
     its ``i``-th digit, in ``[1, 2**W)``: no digit carries into the next or
     borrows from it.  Positions are not slots: a dead slot keeps its
-    position, unread, until the next re-pack drops it.
+    position, unread, until the next re-pack drops it.  Digits enter the
+    columns only through :meth:`_append`, which a re-pack calls on every
+    live ray after clearing the columns; ``len(place)`` counts the slots
+    packed so far.
     """
 
     def __init__(self, scale: int, rays: list):
         self.scale = scale
-        self.columns = [0] * len(rays[0])
-        self.size = self.ones = self.top = self.known = 0
-        self.place: list[int] = []
-        self._set_width(max(map(abs, chain.from_iterable(rays))))
+        self.d = len(rays[0])
+        self.place: dict[int, int] = {}
+        self.limit = -1   # below every entry, so the first update sets W
         self.update(rays, range(len(rays)))
 
     def _set_width(self, top_entry: int) -> None:
@@ -477,58 +476,39 @@ class _PackedRays:
         self.limit = ((1 << (w - 2)) - 1) // self.scale
 
     def update(self, rays: list, live: Sequence[int]) -> None:
-        """Pack the new slots ``rays[known:]`` (all of them in ``live``),
-        forget the slots that left ``live``, and make :meth:`signs` follow
-        the order of ``live``.  Once the dead positions outnumber the live
-        rays, or a new ray has an entry above ``limit``, the kept digits are
-        re-packed from position 0, in a wider ``W`` when needed."""
-        new = rays[self.known:]
-        top_new = max(map(abs, chain.from_iterable(new)), default=0)
+        """Pack the slots not packed before (all of them in ``live``), forget
+        the slots that left ``live``, and make :meth:`signs` follow the order
+        of ``live``.  Once the dead positions outnumber the live rays, or a
+        new ray has an entry above ``limit``, every live ray is packed again
+        from position 0, in a wider ``W`` when needed."""
+        new = range(len(self.place), len(rays))
+        top_new = max(map(abs, chain.from_iterable(rays[new.start:])),
+                      default=0)
         if top_new > self.limit or self.size + len(new) > 2 * len(live):
-            self._repack([k for k in live if k < self.known], top_new)
+            if top_new > self.limit:
+                self._set_width(top_new)
+            self.columns = [0] * self.d
+            self.size = self.ones = 0
+            new = live
         if new:
-            self._append(new)
-        self.known = len(rays)
+            self._append(rays, new)
         self.pick = _picker([self.place[k] for k in live])
 
-    def _repack(self, kept: list[int], top_new: int) -> None:
-        """Move the digits of the slots ``kept`` to positions ``0, 1, ...``,
-        widened to fit entries up to ``top_new`` if needed.  Digits are
-        copied as the bytes of ``column + top``, zero-extended, so no ray is
-        encoded again."""
-        nb, top, length = self.nbytes, self.top, self.size * self.nbytes
-        take = _picker([slice(nb * self.place[k], nb * self.place[k] + nb)
-                        for k in kept])
-        offset = self.half
-        if top_new > self.limit:
-            self._set_width(top_new)
-        pad = bytes(self.nbytes - nb)
-        self.size = len(kept)
-        self.ones = int.from_bytes((1).to_bytes(self.nbytes, "little")
-                                   * self.size, "little")
-        self.columns = [
-            int.from_bytes(pad.join(take((c + top).to_bytes(length, "little")))
-                           + pad, "little") - offset * self.ones
-            for c in self.columns]
-        self.top = self.ones << (8 * self.nbytes - 1)
-        for i, k in enumerate(kept):
-            self.place[k] = i
-
-    def _append(self, new: Sequence[IntVector]) -> None:
-        """Encode ``new`` at the next positions: every entry as one
-        offset-binary digit, all columns in one string of bytes."""
-        nb, half, m = self.nbytes, self.half, len(new)
-        flat = b"".join([(x + half).to_bytes(nb, "little")
-                         for x in chain.from_iterable(zip(*new))])
+    def _append(self, rays: list, slots: Sequence[int]) -> None:
+        """Encode the rays of ``slots`` at the next positions: every entry as
+        one offset-binary digit, all columns in one string of bytes."""
+        nb, half, m = self.nbytes, self.half, len(slots)
+        flat = b"".join([(x + half).to_bytes(nb, "little") for x in
+                         chain.from_iterable(zip(*[rays[k] for k in slots]))])
         block = int.from_bytes(flat, "little")
         ones = int.from_bytes((1).to_bytes(nb, "little") * m, "little")
         span, shift = 8 * nb * m, 8 * nb * self.size
         mask, offset = (1 << span) - 1, half * ones
-        for j in range(len(self.columns)):
+        for j in range(self.d):
             self.columns[j] += (((block >> (span * j)) & mask) - offset) << shift
         self.ones += ones << shift
         self.top = self.ones << (8 * nb - 1)
-        self.place.extend(range(self.size, self.size + m))
+        self.place.update(zip(slots, range(self.size, self.size + m)))
         self.size += m
 
     def signs(self, row: Sequence[int]) -> bytes:
@@ -579,15 +559,6 @@ def _picker(keys: list) -> Callable:
     if len(keys) > 1:
         return itemgetter(*keys)
     return lambda s: tuple(s[key] for key in keys)
-
-
-def _bitset(slots: Iterable[int], n: int) -> int:
-    """The int with bit ``k`` set for each ``k`` in ``slots`` (all below
-    ``n``), read in one pass from a string of binary digits."""
-    digits = bytearray(b"0") * (n + 1)
-    for k in slots:
-        digits[~k] = 49  # ord("1")
-    return int(digits, 2)
 
 
 def _reduce_int(vec: Sequence[int]) -> IntVector:

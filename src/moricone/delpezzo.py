@@ -16,7 +16,6 @@ from typing import Sequence
 from .cones import DimensionMismatchError, PolyCone, dual, generated
 
 MAX_POINTS = 8
-_DEGREE_HARD_CAP = 10  # belt and braces on top of the Cauchy-Schwarz bound
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,9 @@ def minus_one_classes(L: DelPezzoLattice) -> tuple[tuple[int, ...], ...]:
 
     Writing D = d*H - sum(m_j E_j), the two conditions read
     ``sum(m_j) = 3d - 1`` and ``sum(m_j^2) = d^2 + 1``; Cauchy-Schwarz then
-    bounds the degree by ``(3d-1)^2 <= r (d^2+1)``, and each multiplicity
-    lies in [-1, d].  The search is an exhaustive DFS over multiplicities
+    bounds the degree by ``(3d-1)^2 <= r (d^2+1)``, which fails from d = 8
+    on for every r <= ``MAX_POINTS`` (from d = 4 on for r <= 7), and each
+    multiplicity lies in [-1, d].  The search is an exhaustive DFS over multiplicities
     with partial-sum pruning.  Results are cached per lattice; there are
     at most ``MAX_POINTS + 1`` lattices, and a tuple of tuples cannot be
     mutated by a caller.
@@ -65,7 +65,7 @@ def minus_one_classes(L: DelPezzoLattice) -> tuple[tuple[int, ...], ...]:
     if r == 0:
         return ()
     d = 0
-    while (3 * d - 1) ** 2 <= r * (d * d + 1) and d <= _DEGREE_HARD_CAP:
+    while (3 * d - 1) ** 2 <= r * (d * d + 1):
         target_sum = 3 * d - 1
         target_sq = d * d + 1
         ms = [0] * r

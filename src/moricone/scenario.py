@@ -83,7 +83,6 @@ class NamedVector:
 class Scenario:
     r1: int
     r2: int
-    basis_names: tuple[str, ...]
     curves: tuple[Curve, ...]
 
     @property
@@ -97,12 +96,6 @@ class Scenario:
     @property
     def lattice2(self) -> delpezzo.DelPezzoLattice:
         return delpezzo.build(self.r2)
-
-    def curve(self, name: str) -> Curve:
-        for c in self.curves:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def ne_curves(self) -> tuple[Curve, ...]:
         """The claimed generators of the cone of curves: every curve."""
@@ -131,10 +124,7 @@ def build_scenario(r1: int, r2: int) -> Scenario:
         raise ValueError(f"first factor needs 0 <= r1 <= {MAX_R1}, got {r1}")
     if not (0 <= r2 <= MAX_R2):
         raise ValueError(f"second factor needs 0 <= r2 <= {MAX_R2}, got {r2}")
-    names = (["H1"] + [f"E1_{j}" for j in range(1, r1 + 1)]
-             + ["H2"] + [f"E2_{j}" for j in range(1, r2 + 1)]
-             + ["E", "F"])
-    s = Scenario(r1=r1, r2=r2, basis_names=tuple(names), curves=())
+    s = Scenario(r1=r1, r2=r2, curves=())
     curves = [Curve(name, v) for name, v in _fibers(s).items()]
     for cls in _lifted_classes(s, 1):
         name = ("l1" if cls[-1] else "e1") + _points(cls[1:-1])

@@ -39,17 +39,21 @@ def rank1(name):
 # plain chains
 # ---------------------------------------------------------------------------
 
-def test_chain_three_steps_passes():
-    # ambient plane, a line on it, a point on the line; divisor twice a line
-    cert = ChainCertificate(
+def three_step_chain(divisor):
+    """Ambient plane, a line on it, a point on the line: a closed chain (its
+    last step names no next class).  ``(2,)``, twice a line, is nef."""
+    return ChainCertificate(
         root_rank=1,
         steps=(
             ChainStep(child=rank1("plane"), restriction=I1, next_class=(1,)),
             ChainStep(child=rank1("line"), restriction=I1, next_class=(1,)),
             ChainStep(child=PT, restriction=()),
         ),
-        divisor=(2,))
-    verdict = verify_chain(cert)
+        divisor=divisor)
+
+
+def test_chain_three_steps_passes():
+    verdict = verify_chain(three_step_chain((2,)))
     assert verdict.ok
     assert [rec.value for rec in verdict.checks] == [(1,), (1,), ()]
     assert verdict.certified == "divisor is nef on the root space"

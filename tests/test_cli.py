@@ -24,6 +24,9 @@ from moricone.certificates import (build_product_certificates,
 from moricone.cli import (EXIT_ERROR, EXIT_INTERNAL, EXIT_REFUTED,
                           EXIT_VERIFIED, build_parser, jsonable, run)
 
+from .test_certificates import three_step_chain
+from .test_scenario import _bent
+
 
 _CERTS = Path(__file__).resolve().parents[1] / "certs"
 
@@ -354,6 +357,28 @@ def test_scenario_gated_tier_report():
     assert doc["verdicts"]["equality"] == "equal"
 
 
+def test_scenario_refutation_exits_1_with_witnesses(monkeypatch, tmp_path):
+    # A catalog whose e2_1 breaks the lift rule: the report must say
+    # refuted and unequal, carry both witnesses, and exit 1.
+    real = sc.build_scenario
+
+    def bent(r1, r2):
+        s = real(r1, r2)
+        return _bent(s, "e2_1", s.idx_h2 + 1)
+
+    monkeypatch.setattr(sc, "build_scenario", bent)
+    out_file = tmp_path / "doc.json"
+    code, out = capture(["dp", "scenario", "--r1", "1", "--r2", "3",
+                         "--verify-cones", "--out", str(out_file)])
+    assert code == EXIT_REFUTED
+    assert "cone equality: unequal" in out
+    doc = json.loads(out_file.read_text())
+    assert doc["verdicts"]["containment"] == "refuted"
+    assert doc["verdicts"]["equality"] == "unequal"
+    witness = {"curve": "e2_1", "reason": "lift rule violated"}
+    assert doc["witnesses"] == {"containment": witness, "equality": witness}
+
+
 def test_scenario_r2_8_never_dualises_second_factor(monkeypatch):
     dims = []
 
@@ -551,35 +576,37 @@ _UNREACHED_ALLOWED = {"scenario.t_divisor_certificates"}
 
 def test_every_top_level_definition_is_reached():
     # A function, class or method that only tests call is dead weight: every
-    # top-level def and class, and every method and property of a top-level
-    # class, must be named from the package, the benchmark or the scripts
-    # (by name, attribute, import or string, as TRACED does).
+    # top-level def and class must be named from the package, the benchmark
+    # or the scripts (by name, attribute, import or string, as TRACED does),
+    # and every method and property of a top-level class by an attribute
+    # reference there (a dict key or a local variable of the same name does
+    # not reach a method).
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "moricone").glob("*.py"))
-    refs = set()
+    refs, attrs = set(), set()
     for path in [*package, *root.glob("perfbench/**/*.py"),
                  *root.glob("scripts/**/*.py")]:
         for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(n, ast.Name):
                 refs.add(n.id)
             elif isinstance(n, ast.Attribute):
-                refs.add(n.attr)
+                attrs.add(n.attr)
             elif isinstance(n, ast.alias):
                 refs.add(n.name)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 refs.add(n.value)
     # Dunder methods are called by Python itself.
-    defined = []
+    unreached = set()
     for path in package:
         for n in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((f"{path.stem}.{n.name}", n.name))
+            if (isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name not in refs | attrs):
+                unreached.add(f"{path.stem}.{n.name}")
             if isinstance(n, ast.ClassDef):
-                defined += [(f"{path.stem}.{n.name}.{m.name}", m.name)
-                            for m in n.body
-                            if isinstance(m, ast.FunctionDef)
-                            and not m.name.startswith("__")]
-    unreached = {qualified for qualified, name in defined if name not in refs}
+                unreached |= {f"{path.stem}.{n.name}.{m.name}" for m in n.body
+                              if isinstance(m, ast.FunctionDef)
+                              and not m.name.startswith("__")
+                              and m.name not in attrs}
     assert unreached == _UNREACHED_ALLOWED
 
 
@@ -657,6 +684,23 @@ def test_refuted_certificate_carries_witness(tmp_path):
     report = json.loads(out_file.read_text())
     assert report["witnesses"]["failing_check"]["witness_curve"]
     assert report["verdicts"]["certificate"] == "refuted"
+
+
+def test_cert_verify_closed_chain_checks_nefness(tmp_path):
+    # A chain whose last step names no next class certifies plain nefness.
+    p, out_file = tmp_path / "chain.json", tmp_path / "report.json"
+    p.write_text(json.dumps(certificate_to_dict(three_step_chain((2,)))))
+    code, out = capture(["cert", "verify", str(p)])
+    assert code == EXIT_VERIFIED
+    assert "certificate kind: nefness on the root space" in out
+    p.write_text(json.dumps(certificate_to_dict(three_step_chain((0,)))))
+    code, out = capture(["cert", "verify", str(p), "--out", str(out_file)])
+    assert code == EXIT_REFUTED
+    assert "certificate kind: nefness on the root space" in out
+    report = json.loads(out_file.read_text())
+    assert report["witnesses"]["failing_check"] == {
+        "location": "step 0 (plane)", "value": [-1], "witness_curve": [1],
+        "witness_pairing": -1}
 
 
 def test_out_file_mirrors_report(tmp_path):

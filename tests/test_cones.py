@@ -318,21 +318,26 @@ def big_paraboloid_cones(draw):
 def test_dual_of_big_paraboloid_cones(monkeypatch, layout):
     """Packed digits must be right at every width, since a packed run
     widens as its rays grow: with every input packed, the sampled cases
-    re-pack to a wider ``W`` and compact dead positions.  Under the width
-    rule, these inputs use per-ray products."""
+    re-pack to a wider ``W`` and compact dead positions, both by encoding
+    the live rays again through ``_append``.  Under the width rule, these
+    inputs use per-ray products."""
     seen = Counter()
-    repack = cones._PackedRays._repack
+    widths = {}
+    append = cones._PackedRays._append
     listed = cones._ListedRays.__init__
 
-    def counted_repack(self, kept, top_new):
-        seen["widen" if top_new > self.limit else "compact"] += 1
-        repack(self, kept, top_new)
+    def counted_append(self, rays, slots):
+        # Positions restart at 0 only when a re-pack encodes the live rays.
+        if self.place and not self.size:
+            seen["widen" if self.nbytes > widths[id(self)] else "compact"] += 1
+        widths[id(self)] = self.nbytes
+        append(self, rays, slots)
 
     def counted_listed(self, rays):
         seen["listed"] += 1
         listed(self, rays)
 
-    monkeypatch.setattr(cones._PackedRays, "_repack", counted_repack)
+    monkeypatch.setattr(cones._PackedRays, "_append", counted_append)
     monkeypatch.setattr(cones._ListedRays, "__init__", counted_listed)
     if layout == "all packed":
         monkeypatch.setattr(cones, "_WIDEST_PACKED", float("inf"))
