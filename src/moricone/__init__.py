@@ -7,7 +7,7 @@ The package has six parts:
   primitive rays, dual cones by double description, membership/equality
   certificates, and a small exact LP solver with infeasibility certificates.
 * :mod:`moricone.delpezzo` — numerical models of del Pezzo surfaces: Picard
-  lattice, (-1)-classes, NE generators, nef cone.
+  lattice, NE generators, (-1)-classes and nef-cone rays as Weyl orbits.
 * :mod:`moricone.blowup` — the two-step blowup engine: relative cones,
   intersection table and the contraction classifier.
 * :mod:`moricone.certificates` — chain- and grid-style nefness certificates,

@@ -13,8 +13,9 @@ Conventions
   functional, or an infeasibility combination.
 * One exact LP engine, a phase-1 simplex with Bland's rule, serves
   :func:`contains`, :func:`cone_from_rays`, :func:`cones_equal` and
-  :func:`lp_feasible`.  No printed verdict reaches it: those rest on
-  :func:`dual`, exact pairings and :func:`check_infeasibility_certificate`.
+  :func:`lp_feasible`.  No printed verdict reaches it, and only the 2x2
+  relative cones reach :func:`dual`; the others rest on exact pairings and
+  :func:`check_infeasibility_certificate`.
 
 All arithmetic uses Python ints and ``fractions.Fraction``; no floats.
 """

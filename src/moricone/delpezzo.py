@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .cones import DimensionMismatchError, PolyCone, dual, generated
+from .cones import (DimensionMismatchError, PolyCone,
+                    _check_pairings_nonnegative)
 
 MAX_POINTS = 8
 
@@ -47,56 +48,38 @@ def pair(L: DelPezzoLattice, u: Sequence, v: Sequence):
     return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
 
 
+def _orbit(r: int, seeds) -> tuple[tuple[int, ...], ...]:
+    """The closure of ``seeds`` under the simple reflections of W(E_r),
+    sorted: in E_i - E_(i+1), a swap of entries i and i + 1, and in
+    H - E_1 - E_2 - E_3 (r >= 3), the quadratic transformation below.  It is
+    finite only because :class:`DelPezzoLattice` rejects r > ``MAX_POINTS``
+    (W(E_9) is infinite)."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        v = todo.pop()
+        images = {v[:i] + (v[i + 1], v[i]) + v[i + 2:] for i in range(1, r)}
+        if r >= 3:
+            p = v[0] + v[1] + v[2] + v[3]
+            images.add((v[0] + p, v[1] - p, v[2] - p, v[3] - p) + v[4:])
+        images -= seen
+        seen |= images
+        todo.extend(images)
+    return tuple(sorted(seen))
+
+
 @cache
 def minus_one_classes(L: DelPezzoLattice) -> tuple[tuple[int, ...], ...]:
-    """All classes D with D.D = -1 and D.K = -1, sorted.
-
-    Writing D = d*H - sum(m_j E_j), the two conditions read
-    ``sum(m_j) = 3d - 1`` and ``sum(m_j^2) = d^2 + 1``; Cauchy-Schwarz then
-    bounds the degree by ``(3d-1)^2 <= r (d^2+1)``, which fails from d = 8
-    on for every r <= ``MAX_POINTS`` (from d = 4 on for r <= 7), and each
-    multiplicity lies in [-1, d].  The search is an exhaustive DFS over multiplicities
-    with partial-sum pruning.  Results are cached per lattice; there are
-    at most ``MAX_POINTS + 1`` lattices, and a tuple of tuples cannot be
-    mutated by a caller.
-    """
+    """All classes D with D.D = -1 and D.K = -1, sorted: the W(E_r)-orbit of
+    E_r (Manin, *Cubic Forms*, §23), seeded with H - E_1 - E_2 too because
+    W(E_2) only swaps the points.  Cached; a tuple of tuples is immutable."""
     r = L.r
-    out: list[tuple[int, ...]] = []
     if r == 0:
         return ()
-    d = 0
-    while (3 * d - 1) ** 2 <= r * (d * d + 1):
-        target_sum = 3 * d - 1
-        target_sq = d * d + 1
-        ms = [0] * r
-
-        def dfs(k: int, rem_sum: int, rem_sq: int):
-            if k == r:
-                if rem_sum == 0 and rem_sq == 0:
-                    out.append((d,) + tuple(-m for m in ms))
-                return
-            slots = r - k - 1
-            for m in range(-1, d + 1):
-                s = rem_sum - m
-                q = rem_sq - m * m
-                if q < 0:
-                    if m >= 1:
-                        break  # m^2 only grows from here
-                    continue
-                if not (-slots <= s <= slots * d):
-                    continue
-                if slots == 0:
-                    if s != 0 or q != 0:
-                        continue
-                elif s * s > slots * q:
-                    continue
-                ms[k] = m
-                dfs(k + 1, s, q)
-            ms[k] = 0
-
-        dfs(0, target_sum, target_sq)
-        d += 1
-    return tuple(sorted(out))
+    seeds = [(0,) * r + (1,)]
+    if r >= 2:
+        seeds.append((1, -1, -1) + (0,) * (r - 2))
+    return _orbit(r, seeds)
 
 
 def ne_generators(L: DelPezzoLattice) -> tuple[tuple[int, ...], ...]:
@@ -120,5 +103,13 @@ def pairing_row(c: Sequence[int]) -> tuple[int, ...]:
 
 @cache
 def nef_cone(L: DelPezzoLattice) -> PolyCone:
-    rows = [pairing_row(c) for c in ne_generators(L)]
-    return dual(generated(L.rank, rows))
+    """Nef(dP_r): its extremal rays are W.H and W.(H - E_1), sorted.  Raises
+    :class:`AssertionError` unless every ray pairs nonnegatively with every
+    NE generator."""
+    seeds = [(1,) + (0,) * L.r]
+    if L.r:
+        seeds.append((1, -1) + (0,) * (L.r - 1))
+    rays = _orbit(L.r, seeds)
+    _check_pairings_nonnegative(
+        [pairing_row(c) for c in ne_generators(L)], rays)
+    return PolyCone(L.rank, rays)

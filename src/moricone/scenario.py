@@ -29,6 +29,8 @@ Nef(dP_{r1+1}) with E0 coefficient -1, E0 dropped (:func:`t1_divisors`).
 
 The trust base is :func:`delpezzo.ne_generators`: NE(dP_r) is generated by
 the (-1)-classes for r >= 2, by E1 and H - E1 for r = 1, and by H for r = 0.
+``delpezzo`` lists the (-1)-classes and the rays of Nef(dP_r) as Weyl orbits;
+the tests compare them with an independent enumeration and with ``cones.dual``.
 """
 
 from __future__ import annotations

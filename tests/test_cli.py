@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import moricone
-from moricone import delpezzo
 from moricone import scenario as sc
 from moricone.certificates import (build_product_certificates,
                                    certificate_to_dict, tsukioka_factors)
@@ -25,6 +24,7 @@ from moricone.cli import (EXIT_ERROR, EXIT_INTERNAL, EXIT_REFUTED,
                           EXIT_VERIFIED, build_parser, jsonable, run)
 
 from .test_certificates import three_step_chain
+from .test_delpezzo import add_exceptional_to_orbits
 from .test_scenario import _bent
 
 
@@ -379,27 +379,6 @@ def test_scenario_refutation_exits_1_with_witnesses(monkeypatch, tmp_path):
     assert doc["witnesses"] == {"containment": witness, "equality": witness}
 
 
-def test_scenario_r2_8_never_dualises_second_factor(monkeypatch):
-    dims = []
-
-    def recording(cone, real=delpezzo.dual):
-        dims.append(cone.dim)
-        return real(cone)
-    monkeypatch.setattr(delpezzo, "dual", recording)
-    delpezzo.nef_cone.cache_clear()   # a warm cache would make no call
-    code, out = capture(["dp", "scenario", "--r1", "3", "--r2", "8",
-                         "--verify-cones", "--json"])
-    assert code == EXIT_VERIFIED
-    doc = json.loads(out)
-    assert doc["verdicts"]["equality"] == "equal"
-    names = [g["name"] for g in doc["nef_generators"]]
-    assert len(names) == 5 + 10   # dP3 nef rays and T
-    assert not any(n.startswith("nef2_") for n in names)
-    # dP8 has rank 9.  The only duals are Nef(dP3) for the first-factor
-    # pullbacks and Nef(dP4) for the first block, r1 + 1 and r1 + 2 wide.
-    assert sorted(dims) == [3 + 1, 3 + 2]
-
-
 def test_determinism_modulo_timing():
     argv = ["dp", "scenario", "--r1", "2", "--r2", "2",
             "--verify-cones", "--classify", "--json"]
@@ -535,17 +514,15 @@ def _reports(argvs, out):
     return reports
 
 
-def test_no_verdict_reaches_the_simplex(tmp_path):
-    # A fresh process with the simplex replaced by a trap must print every
-    # verdict exactly as the real engine does here.
+def _trapped_reports(tmp_path, trap):
+    """:func:`_reports` of every ``_VERDICT_ARGVS`` entry from a fresh
+    process in which ``trap`` (lines of Python) has run after the package
+    was imported."""
     script = "\n".join([
         "import json, sys",
         "from pathlib import Path",
-        "from moricone import cones",
         "from tests.test_cli import _reports",
-        "def trap(*args):",
-        "    raise RuntimeError('the simplex ran')",
-        "cones._phase1_simplex = trap",
+        *trap,
         "print(json.dumps(_reports(json.loads(sys.argv[1]),"
         " Path(sys.argv[2]))))",
     ])
@@ -555,11 +532,67 @@ def test_no_verdict_reaches_the_simplex(tmp_path):
          str(tmp_path / "trapped.json")],
         cwd=root, capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    trapped = json.loads(proc.stdout)
-    plain = _reports(_VERDICT_ARGVS, tmp_path / "plain.json")
-    assert len(trapped) == len(plain) == 48
-    for argv, t, p in zip(_VERDICT_ARGVS, trapped, plain):
-        assert t == p, (argv, proc.stderr[-500:])
+    return json.loads(proc.stdout), proc.stderr
+
+
+@pytest.fixture(scope="module")
+def plain_reports(tmp_path_factory):
+    return _reports(_VERDICT_ARGVS, tmp_path_factory.mktemp("plain") / "doc")
+
+
+def test_no_verdict_reaches_the_simplex(tmp_path, plain_reports):
+    # A fresh process with the simplex replaced by a trap must print every
+    # verdict exactly as the real engine does here.
+    trapped, err = _trapped_reports(tmp_path, [
+        "from moricone import cones",
+        "def trap(*args):",
+        "    raise RuntimeError('the simplex ran')",
+        "cones._phase1_simplex = trap",
+    ])
+    assert len(trapped) == len(plain_reports) == 48
+    for argv, t, p in zip(_VERDICT_ARGVS, trapped, plain_reports):
+        assert t == p, (argv, err[-500:])
+
+
+def test_no_verdict_but_cones_relative_dualises(tmp_path, plain_reports):
+    # The del Pezzo lists are Weyl orbits and Nef(X) is read off them, so
+    # with cones.dual trapped at every binding in the package only the 2x2
+    # relative cones change, and they fail as an internal error.
+    trapped, err = _trapped_reports(tmp_path, [
+        "from moricone import cones",
+        "def trap(*args):",
+        "    raise RuntimeError('dual ran')",
+        "real = cones.dual",
+        "for m in list(sys.modules.values()):",
+        "    if m and m.__name__.partition('.')[0] == 'moricone':",
+        "        for k, v in list(vars(m).items()):",
+        "            if v is real:",
+        "                setattr(m, k, trap)",
+    ])
+    relative = _VERDICT_ARGVS.index(["cones", "relative"])
+    assert trapped[relative][0] == EXIT_INTERNAL
+    assert "dual ran" in err
+    for i, (argv, t, p) in enumerate(zip(_VERDICT_ARGVS, trapped,
+                                         plain_reports)):
+        assert i == relative or t == p, (argv, err[-500:])
+    code, out, _ = trapped[_VERDICT_ARGVS.index(
+        ["dp", "scenario", "--r1", "3", "--r2", "8", "--verify-cones",
+         "--classify", "--json"])]
+    assert code == EXIT_VERIFIED
+    doc = json.loads(out)
+    assert doc["verdicts"]["equality"] == "equal"
+    names = [g["name"] for g in doc["nef_generators"]]
+    assert len(names) == 5 + 10   # dP3 nef rays and T
+    assert not any(n.startswith("nef2_") for n in names)
+
+
+def test_non_nef_orbit_ray_is_an_internal_error(monkeypatch, capsys):
+    add_exceptional_to_orbits(monkeypatch)
+    code = run(["dp", "scenario", "--r1", "0", "--r2", "2", "--verify-cones"])
+    assert code == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid ray" in captured.err
 
 
 def test_no_assert_statements_guard_verdicts():

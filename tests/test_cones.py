@@ -411,15 +411,20 @@ def test_del_pezzo_nef_cone_counts_round_trip(r, count):
     rows = _minus_one_rows(r)
     nef = dual(rows)
     assert len(nef.rays) == count
+    assert nef.rays == delpezzo.nef_cone(delpezzo.build(r)).rays
     back = dual(nef)
     assert back.rays == rows.rays
     assert dual(back).rays == nef.rays
 
 
 def test_del_pezzo_8_nef_cone_count():
-    """Forward only: the dual back of the 19440 rays makes one pairing per
-    ray and constraint at every step and takes minutes."""
-    assert len(dual(_minus_one_rows(8)).rays) == 19440
+    """The one forward dP8 dual lists the Weyl orbits of H and H - E1 that
+    ``delpezzo.nef_cone`` returns.  Forward only: the dual back of the 19440
+    rays makes one pairing per ray and constraint at every step and takes
+    minutes."""
+    nef = dual(_minus_one_rows(8))
+    assert len(nef.rays) == 19440
+    assert nef.rays == delpezzo.nef_cone(delpezzo.build(8)).rays
 
 
 def _negate_first_new_ray(set_attr, d):

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from moricone import cones
+from moricone import cones, delpezzo
 from moricone.delpezzo import (
     build,
     minus_one_classes,
@@ -117,6 +117,26 @@ def test_nef_cone_dual_roundtrip(r):
     rows = cones.cone_from_rays(
         L.rank, [(c[0],) + tuple(-x for x in c[1:]) for c in ne_generators(L)])
     assert cones.dual(nef).rays == rows.rays
+    # The Weyl orbits are the forward dual; r = 7 and 8 are checked in
+    # test_cones.py, where that dual already runs.
+    assert cones.dual(rows).rays == nef.rays
+
+
+def add_exceptional_to_orbits(monkeypatch):
+    """Make every Weyl orbit also hold E_r, which is not nef for r >= 1.
+    The (-1)-class orbit already holds it, and ``nef_cone`` raises for
+    r >= 1, so no wrong list is left in either cache."""
+    real = delpezzo._orbit
+    monkeypatch.setattr(delpezzo, "_orbit", lambda r, seeds: tuple(
+        sorted(set(real(r, seeds)) | {(0,) * r + (1,)})))
+    delpezzo.nef_cone.cache_clear()
+
+
+def test_nef_cone_guard_rejects_a_non_nef_ray(monkeypatch):
+    add_exceptional_to_orbits(monkeypatch)
+    for r in range(1, 9):
+        with pytest.raises(AssertionError, match="invalid ray"):
+            nef_cone(build(r))
 
 
 def test_nef_cone_small_frozen():
