@@ -1,46 +1,41 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped nefness certificates in certs/.
-
-For each worked product-of-projective-spaces example (n1, n2, d) this builds
-the two product certificates — the chain for (pullback minus the first
-exceptional divisor) and the grid for (pullback minus both) — verifies them,
-and writes them as JSON next to this repository's certs/ directory.
+"""Regenerate the shipped nefness certificates in certs/ through
+``moricone cert example-tsukioka``: for each worked product-of-projective-
+spaces example (n1, n2, d) that command builds and verifies the chain and
+grid product certificates, and this script writes the two its JSON report
+embeds.  It stops, writing nothing more, at the first non-zero exit.
 """
 
 import json
 import pathlib
 import sys
+import tempfile
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from moricone.certificates import (  # noqa: E402
-    build_product_certificates,
-    certificate_to_dict,
-    tsukioka_factors,
-    verify_HE_hypotheses,
-    verify_HEF_hypotheses,
-)
+from moricone import cli  # noqa: E402
 
 EXAMPLES = ((2, 2, 2), (3, 2, 2), (2, 3, 3))
 
 
 def main() -> int:
-    out_dir = pathlib.Path(__file__).resolve().parents[1] / "certs"
+    out_dir = ROOT / "certs"
     out_dir.mkdir(exist_ok=True)
-    for n1, n2, d in EXAMPLES:
-        built = build_product_certificates(*tsukioka_factors(n1, n2, d))
-        chain_v = verify_HE_hypotheses(built.chain)
-        grid_v = verify_HEF_hypotheses(built.grid)
-        if not (chain_v.ok and grid_v.ok):
-            print(f"({n1},{n2},{d}): certificates failed to verify; "
-                  "not writing", file=sys.stderr)
-            return 1
-        for tag, cert in (("chain", built.chain), ("grid", built.grid)):
-            path = out_dir / f"tsukioka_{n1}_{n2}_{d}_{tag}.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(certificate_to_dict(cert), fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {path.relative_to(out_dir.parent)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        report = pathlib.Path(tmp) / "report.json"
+        for n1, n2, d in EXAMPLES:
+            code = cli.run(["cert", "example-tsukioka", "--n1", str(n1),
+                            "--n2", str(n2), "--d", str(d),
+                            "--out", str(report)])
+            if code:
+                return code
+            doc = json.loads(report.read_text(encoding="utf-8"))
+            for tag in ("chain", "grid"):
+                path = out_dir / f"tsukioka_{n1}_{n2}_{d}_{tag}.json"
+                path.write_text(json.dumps(doc[f"{tag}_certificate"], indent=2)
+                                + "\n", encoding="utf-8")
+                print(f"wrote {path.relative_to(ROOT)}")
     return 0
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .cones import _basis_or_kernel
+from .cones import _basis_or_kernel, dot, fvec
 
 Number = Union[int, Fraction]
 Vec = tuple[Fraction, ...]
@@ -36,34 +36,31 @@ class CertificateError(Exception):
     """Structurally invalid certificate (shapes, missing data, broken maps)."""
 
 
-def _vec(v: Iterable[Number]) -> Vec:
-    return tuple(Fraction(x) for x in v)
-
-
 def _mat(m: Iterable[Iterable[Number]]) -> Mat:
-    return tuple(_vec(row) for row in m)
+    return tuple(fvec(row) for row in m)
 
 
 def _apply(m: Mat, v: Sequence[Fraction]) -> Vec:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _check_widths(steps, root_rank: int, label: str) -> None:
-    """Each restriction takes classes of its parent stratum (the root first)."""
+def _check_steps(steps, root_rank: int, label: str) -> None:
+    """Each restriction takes classes of its parent stratum (the root first),
+    and every step but the last names the class of the next stratum."""
     prev = root_rank
     for k, s in enumerate(steps):
         if any(len(row) != prev for row in s.restriction):
             raise CertificateError(
                 f"{label} {k}: restriction columns do not match the parent "
                 f"rank {prev}")
+        if k < len(steps) - 1 and s.next_class is None:
+            raise CertificateError(
+                f"{label} {k} is not final and needs the class of {label} "
+                f"{k + 1}")
         prev = s.child.rank
 
 
@@ -90,7 +87,7 @@ class Stratum:
     def nef_check(self, v: Sequence[Fraction]):
         """(passed, witness_curve, witness_value) for the class v."""
         for c in self.oracle_curves:
-            val = _dot(c, v)
+            val = dot(c, v)
             if val < 0:
                 return False, c, val
         return True, None, None
@@ -112,7 +109,7 @@ class ChainStep:
     def __post_init__(self):
         object.__setattr__(self, "restriction", _mat(self.restriction))
         if self.next_class is not None:
-            object.__setattr__(self, "next_class", _vec(self.next_class))
+            object.__setattr__(self, "next_class", fvec(self.next_class))
         if len(self.restriction) != self.child.rank:
             raise CertificateError(
                 f"step into {self.child.id!r}: restriction has "
@@ -131,7 +128,7 @@ class ChainCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(self, "divisor", _vec(self.divisor))
+        object.__setattr__(self, "divisor", fvec(self.divisor))
         if not self.steps:
             raise CertificateError(
                 "a chain needs at least one stratum; encode a bare root as a "
@@ -140,7 +137,7 @@ class ChainCertificate:
             raise CertificateError(
                 f"divisor has length {len(self.divisor)}, root rank is "
                 f"{self.root_rank}")
-        _check_widths(self.steps, self.root_rank, "step")
+        _check_steps(self.steps, self.root_rank, "step")
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,7 @@ class GridCell:
         for attr in ("right_class", "down_class"):
             v = getattr(self, attr)
             if v is not None:
-                v = _vec(v)
+                v = fvec(v)
                 object.__setattr__(self, attr, v)
                 if len(v) != self.stratum.rank:
                     raise CertificateError(
@@ -188,7 +185,7 @@ class GridCertificate:
     def __post_init__(self):
         object.__setattr__(self, "outer", tuple(self.outer))
         object.__setattr__(self, "cells", dict(self.cells))
-        object.__setattr__(self, "divisor", _vec(self.divisor))
+        object.__setattr__(self, "divisor", fvec(self.divisor))
         a, b, c = self.a, self.b, self.c
         if not (0 <= c <= min(a, b)):
             raise CertificateError(f"grid extents need 0 <= c <= min(a, b), "
@@ -199,15 +196,11 @@ class GridCertificate:
                 f"got {len(self.outer)}")
         if len(self.divisor) != self.root_rank:
             raise CertificateError("divisor length does not match root rank")
-        _check_widths(self.outer, self.root_rank, "outer step")
-        for k, s in enumerate(self.outer):
-            if k < c and s.next_class is None:
-                raise CertificateError(
-                    f"outer step {k} needs the class of step {k + 1}")
-            if k == c and s.next_class is not None:
-                raise CertificateError(
-                    "the corner step must not carry a next-stratum class "
-                    "(its continuations are the grid classes)")
+        _check_steps(self.outer, self.root_rank, "outer step")
+        if self.outer[c].next_class is not None:
+            raise CertificateError(
+                "the corner step must not carry a next-stratum class "
+                "(its continuations are the grid classes)")
         # Extents may be huge: count and range-check the listed cells; the
         # row-major scan for a missing one ends within len(cells) + 1 steps.
         rows, cols = range(c, a + 1), range(c, b + 1)
@@ -305,26 +298,20 @@ def _walk_chain(cert: ChainCertificate) -> list[CheckRecord]:
 def verify_chain(cert: ChainCertificate) -> Verdict:
     """Full chain criterion: difference checks at every non-final stratum,
     then the plain nefness of the final restriction."""
-    last = len(cert.steps) - 1
-    for k, s in enumerate(cert.steps):
-        if k < last and s.next_class is None:
-            raise CertificateError(
-                f"step {k} is not final and needs the class of step {k + 1}")
-        if k == last and s.next_class is not None:
-            raise CertificateError(
-                "the final step of a full chain must not carry a next-stratum "
-                "class (use the hypothesis-only verifier for open-ended chains)")
+    if cert.steps[-1].next_class is not None:
+        raise CertificateError(
+            "the final step of a full chain must not carry a next-stratum "
+            "class (use the hypothesis-only verifier for open-ended chains)")
     return _verdict(_walk_chain(cert), "divisor is nef on the root space")
 
 
 def verify_HE_hypotheses(cert: ChainCertificate) -> Verdict:
     """Hypotheses for nefness of (pullback - exceptional) after blowing up
     the chain's end: difference checks only, no final oracle check."""
-    for k, s in enumerate(cert.steps):
-        if s.next_class is None:
-            raise CertificateError(
-                f"step {k}: every step of an open-ended chain carries the "
-                f"class of the next stratum")
+    if cert.steps[-1].next_class is None:
+        raise CertificateError(
+            f"step {len(cert.steps) - 1}: the final step of an open-ended "
+            f"chain carries the class of the next stratum")
     return _verdict(_walk_chain(cert), "pullback minus exceptional divisor "
                     "is nef on the blowup")
 

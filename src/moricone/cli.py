@@ -24,8 +24,8 @@ from . import __version__, blowup, delpezzo
 from . import scenario as sc
 from .certificates import (
     CertificateError,
-    ChainCertificate,
     GridCertificate,
+    _num_out,
     build_product_certificates,
     certificate_from_dict,
     certificate_to_dict,
@@ -49,7 +49,7 @@ EXIT_INTERNAL = 3
 def jsonable(x):
     """Exact JSON form: fractions as 'p/q' strings (integers stay integers)."""
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return _num_out(x)
     if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
         return x
     if isinstance(x, float):
@@ -131,7 +131,7 @@ def _cmd_classify_construction(args):
 
 def _cmd_dp_scenario(args):
     s = sc.build_scenario(args.r1, args.r2)
-    ne_gens = [{"name": c.name, "vector": c.vector} for c in s.ne_curves()]
+    ne_gens = [{"name": c.name, "vector": c.vector} for c in s.curves]
     nef_gens = [{"name": nv.name, "vector": nv.vector}
                 for nv in sc.factor_nef_vectors(s, 1) + sc.t_divisors(s)]
     extra = {"r1": s.r1, "r2": s.r2, "rho": s.rho,
@@ -228,8 +228,6 @@ def _verify_loaded_certificate(cert):
     certifies the single-blowup hypotheses, otherwise plain nefness."""
     if isinstance(cert, GridCertificate):
         return verify_HEF_hypotheses(cert), "two-step blowup hypotheses"
-    if not isinstance(cert, ChainCertificate):
-        raise AssertionError(f"unexpected certificate type {type(cert).__name__}")
     if cert.steps[-1].next_class is not None:
         return verify_HE_hypotheses(cert), "single-blowup hypotheses"
     return verify_chain(cert), "nefness on the root space"

@@ -378,9 +378,9 @@ def dual(cone: PolyCone) -> PolyCone:
 
 def _check_pairings_nonnegative(rows: Sequence[IntVector],
                                 rays: Sequence[IntVector]) -> None:
-    """Raise :class:`AssertionError` unless ``row . r >= 0`` for every row
-    and every ray.  One big-integer pairing per ray decides all its rows
-    (Kronecker substitution).
+    """Raise :class:`AssertionError`, naming the first ray that fails,
+    unless ``row . r >= 0`` for every row and every ray.  One big-integer
+    pairing per ray decides all its rows (Kronecker substitution).
 
     Let ``bound = d * max|row entry| * max|ray entry|`` and
     ``W = bound.bit_length() + 1``, so every pairing has
@@ -405,7 +405,7 @@ def _check_pairings_nonnegative(rows: Sequence[IntVector],
     top = ones << (w - 1)
     for r in rays:
         if (sum(map(mul, r, cols)) + top) & top != top:
-            raise AssertionError("double description produced an invalid ray")
+            raise AssertionError(f"ray {r} pairs negatively with a row")
 
 
 # Sign codes of a row's pairings with the live rays (``signs``), and the
@@ -764,11 +764,14 @@ class LinearConstraint:
     bound: Fraction
     label: str = ""
 
+    def __post_init__(self):
+        if self.relation not in VALID_RELATIONS:
+            raise ValueError(f"relation must be one of {VALID_RELATIONS}, "
+                             f"got {self.relation!r}")
+
 
 def constraint(coeffs: Iterable[Number], relation: str, bound: Number,
                label: str = "") -> LinearConstraint:
-    if relation not in VALID_RELATIONS:
-        raise ValueError(f"relation must be one of {VALID_RELATIONS}")
     return LinearConstraint(fvec(coeffs), relation, Fraction(bound), label)
 
 
@@ -783,8 +786,6 @@ class LinearProgram:
                 raise DimensionMismatchError(
                     f"constraint #{i} has {len(c.coeffs)} coefficients, "
                     f"expected {self.nvars}")
-            if c.relation not in VALID_RELATIONS:
-                raise ValueError(f"constraint #{i}: bad relation {c.relation!r}")
 
 
 @dataclass(frozen=True)

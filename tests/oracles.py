@@ -60,7 +60,8 @@ def _rank_and_kernel(rows, d):
 def dual_by_inverse(gens):
     """Dual of a *simplicial full-dimensional* cone: columns of G^{-1}."""
     d = len(gens[0])
-    assert len(gens) == d
+    if len(gens) != d:
+        raise ValueError("oracle requires exactly d generators")
     a = [[Fraction(x) for x in row] for row in gens]
     inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     for col in range(d):
@@ -91,7 +92,8 @@ def dual_by_facet_enumeration(gens):
     """
     d = len(gens[0])
     rank, _ = _rank_and_kernel(gens, d)
-    assert rank == d, "oracle requires spanning generators"
+    if rank != d:
+        raise ValueError("oracle requires spanning generators")
     if d == 1:
         # Subsets of size 0: the dual is a half-line or {0}; handle directly.
         sgn = set(1 if g[0] > 0 else -1 for g in gens)

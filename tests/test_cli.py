@@ -468,13 +468,13 @@ def test_minus_one_counts_via_cli():
 
 def test_internal_error_is_not_a_refutation(monkeypatch, capsys):
     def broken(s):
-        raise AssertionError("double description produced an invalid ray")
+        raise AssertionError("ray (0, 1) pairs negatively with a row")
     monkeypatch.setattr(sc, "verify_theorem", broken)
     code = run(["dp", "scenario", "--r1", "0", "--r2", "0", "--verify-cones"])
     assert code == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "invalid ray" in captured.err
+    assert "pairs negatively" in captured.err
 
 
 def test_fano_type_needs_a_checked_refutation(monkeypatch, capsys):
@@ -592,7 +592,8 @@ def test_non_nef_orbit_ray_is_an_internal_error(monkeypatch, capsys):
     assert code == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "invalid ray" in captured.err
+    assert captured.err.endswith(
+        "AssertionError: ray (0, 1) pairs negatively with a row\n")
 
 
 def test_no_assert_statements_guard_verdicts():

@@ -14,6 +14,7 @@ from moricone import cones, delpezzo
 from moricone.cones import (
     DimensionMismatchError,
     LinealityError,
+    LinearConstraint,
     LinearProgram,
     PolyCone,
     check_infeasibility_certificate,
@@ -290,13 +291,35 @@ _CUBE_PYRAMID = cone_from_rays(
     + [(1, 0, 0, 0, 1)])
 
 
-@given(degenerate_cones())
-@example(_CUBE)
-@example(_CUBE_PYRAMID)
-def test_dual_of_degenerate_cones_matches_oracle_and_round_trips(c):
-    d = dual(c)
-    assert list(d.rays) == dual_by_facet_enumeration(c.rays)
-    assert dual(d).rays == c.rays
+@pytest.mark.parametrize("layout", ["by width", "all packed", "all per ray"])
+def test_dual_of_degenerate_cones_matches_oracle_and_round_trips(monkeypatch,
+                                                                 layout):
+    """Under the width rule these inputs are packed; with every input per
+    ray, their many zero pairings run through :class:`cones._ListedRays`."""
+    sources = Counter()
+    pairings = cones._pairings
+
+    def counted(scale, rays):
+        source = pairings(scale, rays)
+        sources[type(source).__name__] += 1
+        return source
+
+    monkeypatch.setattr(cones, "_pairings", counted)
+    if layout != "by width":
+        monkeypatch.setattr(cones, "_WIDEST_PACKED",
+                            float("inf") if layout == "all packed" else -1)
+
+    @given(degenerate_cones())
+    @example(_CUBE)
+    @example(_CUBE_PYRAMID)
+    def check(c):
+        d = dual(c)
+        assert list(d.rays) == dual_by_facet_enumeration(c.rays)
+        assert dual(d).rays == c.rays
+
+    check()
+    assert set(sources) == {"_ListedRays" if layout == "all per ray"
+                            else "_PackedRays"}
 
 
 @st.composite
@@ -477,9 +500,9 @@ def test_initial_ray_guard_catches_a_wrong_ray(monkeypatch):
 def test_final_guard_catches_a_wrong_ray(monkeypatch):
     rows = _minus_one_rows(5)
     calls = _negate_first_new_ray(monkeypatch.setattr, rows.dim)
-    with pytest.raises(AssertionError,
-                       match="double description produced an invalid ray"):
+    with pytest.raises(AssertionError) as ei:
         dual(rows)
+    assert str(ei.value) == "ray (0, 0, 0, 0, 1, 0) pairs negatively with a row"
     assert len(calls) > rows.dim
 
 
@@ -510,7 +533,7 @@ def _optimized_child(setup):
 
 def test_final_guard_survives_optimize_flag():
     assert _optimized_child("_negate_first_new_ray(setattr, rows.dim)") == \
-        "False double description produced an invalid ray"
+        "False ray (0, 0, 0, 0, 1, 0) pairs negatively with a row"
 
 
 def test_initial_ray_guard_survives_optimize_flag():
@@ -558,7 +581,9 @@ def _packed_guard_passes(rows, rays):
     try:
         cones._check_pairings_nonnegative(rows, rays)
     except AssertionError as e:
-        assert str(e) == "double description produced an invalid ray"
+        bad = next(r for r in rays
+                   if any(sum(map(mul, row, r)) < 0 for row in rows))
+        assert str(e) == f"ray {bad} pairs negatively with a row"
         return False
     return True
 
@@ -669,6 +694,15 @@ def test_packed_signs_and_digits_match_dot_products(case):
 # ---------------------------------------------------------------------------
 # linear programs
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: constraint([1], "<=", 0),
+    lambda: LinearConstraint((Fraction(1),), "<", Fraction(0)),
+])
+def test_constraint_rejects_an_unknown_relation(make):
+    with pytest.raises(ValueError, match="relation must be one of"):
+        make()
+
 
 def test_lp_simple_infeasible_with_certificate():
     lp = LinearProgram(1, (constraint([1], ">=", 0),
