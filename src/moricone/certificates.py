@@ -15,7 +15,9 @@ own nefness conditions (root, A-edge, B-edge) choose each interleaving.
 the point x hypersurface fixtures and the del Pezzo scenario's T divisors,
 from one chain per factor.
 
-Everything is exact: entries are ints or fractions, never floats.
+Everything is exact: entries are ints or fractions, never floats.  Integral
+entries stay ``int`` (nothing here divides), and only a non-integral rational
+is a :class:`~fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .cones import _basis_or_kernel, dot, fvec
+from .cones import _basis_or_kernel, dot
 
 Number = Union[int, Fraction]
-Vec = tuple[Fraction, ...]
+Vec = tuple[Number, ...]
 Mat = tuple[Vec, ...]
 
 
@@ -36,12 +39,21 @@ class CertificateError(Exception):
     """Structurally invalid certificate (shapes, missing data, broken maps)."""
 
 
+def _vec(entries: Iterable[Number]) -> Vec:
+    """The entries as exact numbers: an ``int`` stays an ``int``, anything
+    else becomes a :class:`Fraction` (so no float is kept)."""
+    v = tuple(entries)
+    if {int}.issuperset(map(type, v)):
+        return v
+    return tuple(x if type(x) is int else Fraction(x) for x in v)
+
+
 def _mat(m: Iterable[Iterable[Number]]) -> Mat:
-    return tuple(fvec(row) for row in m)
+    return tuple(map(_vec, m))
 
 
-def _apply(m: Mat, v: Sequence[Fraction]) -> Vec:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+def _apply(m: Mat, v: Sequence[Number]) -> Vec:
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _sub(u: Vec, v: Vec) -> Vec:
@@ -84,7 +96,7 @@ class Stratum:
                     f"stratum {self.id!r}: oracle curve of length {len(c)}, "
                     f"rank is {self.rank}")
 
-    def nef_check(self, v: Sequence[Fraction]):
+    def nef_check(self, v: Sequence[Number]):
         """(passed, witness_curve, witness_value) for the class v."""
         for c in self.oracle_curves:
             val = dot(c, v)
@@ -109,7 +121,7 @@ class ChainStep:
     def __post_init__(self):
         object.__setattr__(self, "restriction", _mat(self.restriction))
         if self.next_class is not None:
-            object.__setattr__(self, "next_class", fvec(self.next_class))
+            object.__setattr__(self, "next_class", _vec(self.next_class))
         if len(self.restriction) != self.child.rank:
             raise CertificateError(
                 f"step into {self.child.id!r}: restriction has "
@@ -128,7 +140,7 @@ class ChainCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(self, "divisor", fvec(self.divisor))
+        object.__setattr__(self, "divisor", _vec(self.divisor))
         if not self.steps:
             raise CertificateError(
                 "a chain needs at least one stratum; encode a bare root as a "
@@ -152,7 +164,7 @@ class GridCell:
         for attr in ("right_class", "down_class"):
             v = getattr(self, attr)
             if v is not None:
-                v = fvec(v)
+                v = _vec(v)
                 object.__setattr__(self, attr, v)
                 if len(v) != self.stratum.rank:
                     raise CertificateError(
@@ -185,7 +197,7 @@ class GridCertificate:
     def __post_init__(self):
         object.__setattr__(self, "outer", tuple(self.outer))
         object.__setattr__(self, "cells", dict(self.cells))
-        object.__setattr__(self, "divisor", fvec(self.divisor))
+        object.__setattr__(self, "divisor", _vec(self.divisor))
         a, b, c = self.a, self.b, self.c
         if not (0 <= c <= min(a, b)):
             raise CertificateError(f"grid extents need 0 <= c <= min(a, b), "
@@ -247,7 +259,7 @@ class CheckRecord:
     value: Vec
     passed: bool
     witness_curve: Optional[Vec] = None
-    witness_pairing: Optional[Fraction] = None
+    witness_pairing: Optional[Number] = None
 
 
 @dataclass(frozen=True)
@@ -376,7 +388,7 @@ class ProductCertificates:
 
 
 def _pad_vec(v: Vec, before: int, after: int) -> Vec:
-    return tuple([Fraction(0)] * before) + tuple(v) + tuple([Fraction(0)] * after)
+    return (0,) * before + tuple(v) + (0,) * after
 
 
 def _product_stratum(s1: Stratum, s2: Stratum) -> Stratum:
@@ -388,14 +400,13 @@ def _product_stratum(s1: Stratum, s2: Stratum) -> Stratum:
 
 def _block_diag(m1: Mat, r1: int, m2: Mat, r2: int) -> Mat:
     """Block matrix from m1 (cols r1) and m2 (cols r2)."""
-    rows = [tuple(row) + tuple([Fraction(0)] * r2) for row in m1]
-    rows += [tuple([Fraction(0)] * r1) + tuple(row) for row in m2]
+    rows = [tuple(row) + (0,) * r2 for row in m1]
+    rows += [(0,) * r1 + tuple(row) for row in m2]
     return tuple(rows)
 
 
 def identity_matrix(n: int) -> Mat:
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0)
-                       for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def _conditions(g: GridCertificate) -> tuple[Optional[CheckRecord], ...]:
@@ -558,14 +569,18 @@ def build_product_certificates(f1: GridCertificate,
 # JSON serialization ("p/q" strings for non-integers)
 # ---------------------------------------------------------------------------
 
-def _num_out(x: Fraction):
+def _num_out(x: Number):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _num_in(x) -> Fraction:
+def _num_in(x) -> Number:
+    """An integer or a "p/q" string as an ``int`` when integral, else as a
+    :class:`Fraction`."""
+    if type(x) is int:
+        return x
     # bool is a subclass of int; a JSON true must not read as 1.
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise CertificateError(f"expected an integer or 'p/q' string, got {x!r}")
@@ -574,9 +589,10 @@ def _num_in(x) -> Fraction:
     if isinstance(x, str) and not _RATIONAL.fullmatch(x):
         raise CertificateError(f"not an exact rational: {x!r}")
     try:
-        return Fraction(x)
+        q = Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise CertificateError(f"not an exact rational: {x!r}") from exc
+    return q.numerator if q.denominator == 1 else q
 
 
 def _int_in(x) -> int:

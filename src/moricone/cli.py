@@ -17,7 +17,7 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import __version__, blowup, delpezzo
@@ -46,21 +46,29 @@ EXIT_INTERNAL = 3
 # JSON plumbing
 # ---------------------------------------------------------------------------
 
+_AS_IS = frozenset({int, bool, str, type(None)})
+
+
 def jsonable(x):
-    """Exact JSON form: fractions as 'p/q' strings (integers stay integers)."""
-    if isinstance(x, Fraction):
-        return _num_out(x)
-    if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
+    """Exact JSON form: fractions as 'p/q' strings (integers stay integers).
+
+    One walk, dispatched on the exact type: a dataclass becomes the dict of
+    its fields, and anything else, a float above all, raises
+    :class:`TypeError`."""
+    kind = type(x)
+    if kind in _AS_IS:
         return x
+    if kind is Fraction:
+        return _num_out(x)
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if kind is tuple or kind is list:
+        return [jsonable(v) for v in x]
+    if is_dataclass(kind):
+        return {f.name: jsonable(getattr(x, f.name)) for f in fields(kind)}
     if isinstance(x, float):
         raise TypeError("refusing to serialize a float in an exact report")
-    if is_dataclass(x) and not isinstance(x, type):
-        return jsonable(asdict(x))
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def _document(argv, extra: dict, verdicts: dict, witnesses: dict,

@@ -63,7 +63,7 @@ def dot(u: Sequence[Number], v: Sequence[Number]):
     """Standard dot product (exact)."""
     if len(u) != len(v):
         raise DimensionMismatchError(f"dot: lengths {len(u)} and {len(v)} differ")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import neg
 from typing import Sequence
 
 from .cones import (DimensionMismatchError, PolyCone,
@@ -98,7 +99,7 @@ def ne_generators(L: DelPezzoLattice) -> tuple[tuple[int, ...], ...]:
 def pairing_row(c: Sequence[int]) -> tuple[int, ...]:
     """The functional D -> D.c as a standard-dot row on divisor
     coefficients (negate the E-coordinates)."""
-    return (c[0],) + tuple(-x for x in c[1:])
+    return (c[0],) + tuple(map(neg, c[1:]))
 
 
 @cache

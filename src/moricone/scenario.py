@@ -35,6 +35,7 @@ the tests compare them with an independent enumeration and with ``cones.dual``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -50,8 +51,10 @@ from .certificates import (
     identity_matrix,
 )
 from .cones import (
+    DimensionMismatchError,
     LinearProgram,
     PolyCone,
+    _idot,
     check_infeasibility_certificate,
     constraint,
     dot,
@@ -86,6 +89,14 @@ class Scenario:
     r1: int
     r2: int
     curves: tuple[Curve, ...]
+
+    def __post_init__(self):
+        # Pairings with the catalog are unchecked dot products.
+        for c in self.curves:
+            if len(c.vector) != self.rho:
+                raise DimensionMismatchError(
+                    f"curve {c.name!r} has {len(c.vector)} entries, the "
+                    f"Picard rank is {self.rho}")
 
     @property
     def rho(self) -> int:
@@ -134,11 +145,13 @@ def build_scenario(r1: int, r2: int) -> Scenario:
         name = ("l1" if cls[-1] else "e1") + _points(cls[1:-1])
         curves.append(Curve(name, _lift(s, 1, cls), 1, cls))
     # (-1)-classes are named by position, H (r2 = 0) and H - E1 (r2 = 1) by
-    # the points they pass through.
+    # the points they pass through.  The lift puts the pairing row of cls on
+    # the H2/E2 slots, so cls pairs with those slots to its self-intersection.
     for k, cls in enumerate(_lifted_classes(s, 2), 1):
-        minus_one = delpezzo.pair(s.lattice2, cls, cls) == -1
+        v = _lift(s, 2, cls)
+        minus_one = _idot(cls, v[s.idx_h2:s.idx_e]) == -1
         name = f"e2_{k}" if minus_one else "l2" + _points(cls[1:])
-        curves.append(Curve(name, _lift(s, 2, cls), 2, cls))
+        curves.append(Curve(name, v, 2, cls))
     return replace(s, curves=tuple(curves))
 
 
@@ -175,9 +188,9 @@ def _lift(s: Scenario, factor: int, cls: Sequence[int]) -> tuple[int, ...]:
     goes on the H2/E2 slots and its degree on E.
     """
     row = delpezzo.pairing_row(cls)
-    v = list(_embed_factor(s, factor, row))
-    v[s.idx_e] = row[-1] if factor == 1 else cls[0]
-    return tuple(v)
+    if factor == 1:
+        return row[:-1] + (0,) * (s.r2 + 1) + (row[-1], 0)
+    return (0,) * (s.r1 + 1) + row + (cls[0], 0)
 
 
 def anticanonical(s: Scenario) -> tuple[int, ...]:
@@ -406,7 +419,7 @@ class ClassificationResult:
 
 def classify(s: Scenario) -> ClassificationResult:
     minus_k = anticanonical(s)
-    k_pairings = {c.name: dot(minus_k, c.vector) for c in s.curves}
+    k_pairings = {c.name: _idot(minus_k, c.vector) for c in s.curves}
 
     witnesses: dict = {"anticanonical_pairings": k_pairings}
     fano = all(v > 0 for v in k_pairings.values())
@@ -455,7 +468,7 @@ def delta_certificate(s: Scenario) -> dict:
     3 (-K - boundary) and reported divided by 3."""
     thrice = tuple(3 * a - int(3 * d)
                    for a, d in zip(anticanonical(s), delta_divisor(s)))
-    pairings = {c.name: Fraction(dot(thrice, c.vector), 3)
+    pairings = {c.name: Fraction(_idot(thrice, c.vector), 3)
                 for c in s.curves}
     witness = next((n for n, v in pairings.items() if v <= 0), None)
     return {"ok": witness is None, "witness": witness, "pairings": pairings}
@@ -486,6 +499,13 @@ def not_fano_type_refutation(s: Scenario) -> RefutationResult:
     if s.r2 < 2:
         raise ValueError("the refutation applies only when the second factor "
                          "is blown up at two or more points")
+    return _refutation()
+
+
+@functools.cache
+def _refutation() -> RefutationResult:
+    """The refutation does not depend on the scenario: build it once.  Both
+    fields are immutable, so every caller may share it."""
     return RefutationResult(lp=refutation_system(),
                             certificate=tuple(map(Fraction, (0, 1, 1, 1))))
 

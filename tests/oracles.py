@@ -224,3 +224,22 @@ def relaxed_refutation_system():
     return dataclasses.replace(lp, constraints=tuple(
         dataclasses.replace(c, relation=">=") if c.relation == ">" else c
         for c in lp.constraints))
+
+
+def jsonable_by_asdict(x):
+    """The report walk as ``cli.jsonable`` wrote it before its single-pass
+    form: ``dataclasses.asdict`` deep-copies a dataclass first, and the copy
+    is then walked by ``isinstance`` tests."""
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
+        return x
+    if isinstance(x, float):
+        raise TypeError("refusing to serialize a float in an exact report")
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return jsonable_by_asdict(dataclasses.asdict(x))
+    if isinstance(x, dict):
+        return {str(k): jsonable_by_asdict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable_by_asdict(v) for v in x]
+    raise TypeError(f"cannot serialize {type(x).__name__}")

@@ -1,8 +1,12 @@
 """Tests for chain/grid nefness certificates and the product builder."""
 
+import dataclasses
+import io
 import itertools
 import json
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +29,7 @@ from moricone.certificates import (
     verify_HE_hypotheses,
     verify_HEF_hypotheses,
 )
+from moricone.cli import _verify_loaded_certificate
 
 I1 = ((1,),)
 I2 = ((1, 0), (0, 1))
@@ -478,6 +483,90 @@ def test_json_rejects_floats():
     }
     with pytest.raises(CertificateError):
         certificate_from_dict(cert_dict)
+
+
+def test_num_in_reads_integral_entries_as_int():
+    for x, expected in ((7, 7), ("4/2", 2), ("-0", 0), ("1/3", Fraction(1, 3))):
+        got = certificates._num_in(x)
+        assert got == expected and type(got) is type(expected), x
+    for bad in (True, 2.0, "1e3", "0.5", None):
+        with pytest.raises(CertificateError):
+            certificates._num_in(bad)
+
+
+def test_certificates_never_divide():
+    # No true division, so no entry can become a float.
+    source = Path(certificates.__file__).read_text(encoding="utf-8")
+    ops = [tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+           if tok.type == tokenize.OP and tok.string in ("/", "/=")]
+    assert not ops, [tok.start for tok in ops]
+
+
+# The fields of the certificate dataclasses that hold vectors or matrices,
+# and those that hold nested strata, steps or cells.
+_ENTRY_FIELDS = {"oracle_curves", "restriction", "next_class", "right_class",
+                 "right_map", "down_class", "down_map", "divisor"}
+_NESTED_FIELDS = {"child", "stratum", "steps", "outer", "cells"}
+
+
+def _leaves(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    elif dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    if isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _leaves(v)
+    else:
+        yield x
+
+
+def _as_fractions(x):
+    """``x`` rebuilt through the constructors with every vector and matrix
+    entry a Fraction, as the certificate layer once stored them."""
+    if dataclasses.is_dataclass(x):
+        return dataclasses.replace(x, **{
+            f.name: _as_fractions(getattr(x, f.name))
+            for f in dataclasses.fields(x)
+            if f.name in _ENTRY_FIELDS | _NESTED_FIELDS})
+    if isinstance(x, dict):
+        return {k: _as_fractions(v) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(map(_as_fractions, x))
+    return None if x is None else Fraction(x)
+
+
+def _integral_certificates():
+    """Every shipped certificate file and both T certificates of every T1
+    ray of the 36 cells: all their entries are integers."""
+    for path in sorted(Path(__file__).resolve().parents[1].glob("certs/*.json")):
+        yield path.name, certificate_from_dict(json.loads(path.read_text()))
+    for r1 in range(sc.MAX_R1 + 1):
+        for r2 in range(sc.MAX_R2 + 1):
+            s = sc.build_scenario(r1, r2)
+            for n1 in sc.t1_divisors(s):
+                built = build_product_certificates(*sc.factor_grids_for_t1(s, n1))
+                yield (r1, r2, n1.name, "chain"), built.chain
+                yield (r1, r2, n1.name, "grid"), built.grid
+
+
+def test_integral_certificates_stay_int_and_match_fractions():
+    seen = 0
+    for label, cert in _integral_certificates():
+        verdict, _ = _verify_loaded_certificate(cert)
+        assert verdict.ok, label
+        # Strata, restrictions, classes and check values hold plain ints;
+        # no float, and no Fraction where the value is integral.
+        for leaf in itertools.chain(_leaves(cert), _leaves(verdict)):
+            assert leaf is None or type(leaf) in (int, str, bool), (label, leaf)
+        as_fractions = _as_fractions(cert)
+        assert all(type(x) is Fraction for x in as_fractions.divisor), label
+        again, _ = _verify_loaded_certificate(as_fractions)
+        assert all(type(x) is Fraction
+                   for rec in again.checks for x in rec.value), label
+        assert again == verdict, label
+        seen += 1
+    assert seen == 6 + 162
 
 
 def _one_step_doc(rank, oracle_curves):

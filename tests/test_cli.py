@@ -2,6 +2,7 @@
 determinism, and witness presence on refutation."""
 
 import ast
+import dataclasses
 import io
 import json
 import os
@@ -18,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 import moricone
 from moricone import scenario as sc
-from moricone.certificates import (build_product_certificates,
+from moricone.certificates import (CheckRecord, build_product_certificates,
                                    certificate_to_dict, tsukioka_factors)
 from moricone.cli import (EXIT_ERROR, EXIT_INTERNAL, EXIT_REFUTED,
                           EXIT_VERIFIED, build_parser, jsonable, run)
 
+from .oracles import jsonable_by_asdict
 from .test_certificates import three_step_chain
 from .test_delpezzo import add_exceptional_to_orbits
 from .test_scenario import _bent
@@ -750,9 +752,51 @@ def test_out_file_mirrors_report(tmp_path):
 # serializer and entry point
 # ---------------------------------------------------------------------------
 
+_NESTED_FLOATS = {
+    "top level": 0.5,
+    "dataclass field": CheckRecord(location="x", value=(1,), passed=False,
+                                   witness_curve=(1,), witness_pairing=0.5),
+    "tuple in a dict": {"pairings": (1, 0.5)},
+    "dict value": {"e": 1, "f": 0.5},
+}
+
+
 def test_jsonable_rejects_floats():
-    with pytest.raises(TypeError):
-        jsonable(0.5)
+    for where, report in _NESTED_FLOATS.items():
+        with pytest.raises(TypeError, match="float"):
+            jsonable(report)
+            pytest.fail(f"a float as a {where} was serialized")
+
+
+@pytest.mark.parametrize("probe", _NESTED_FLOATS.values(),
+                         ids=_NESTED_FLOATS.keys())
+def test_float_in_a_classify_witness_is_an_internal_error(monkeypatch, capsys,
+                                                          probe):
+    real = sc.classify
+
+    def with_float(s):
+        res = real(s)
+        return dataclasses.replace(
+            res, witnesses={**res.witnesses, "probe": probe})
+
+    monkeypatch.setattr(sc, "classify", with_float)
+    code = run(["dp", "scenario", "--r1", "0", "--r2", "2", "--classify"])
+    assert code == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refusing to serialize a float" in captured.err
+
+
+def test_jsonable_matches_the_asdict_walk():
+    # The one-pass walk against the old deep-copying walk, on every part of
+    # every verdict report, compared as encoded text so True and 1 differ.
+    parser = build_parser()
+    for argv in _VERDICT_ARGVS:
+        args = parser.parse_args(argv)
+        _, _, extra, verdicts, witnesses = args.handler(args)
+        for part in (extra, verdicts, witnesses):
+            assert (json.dumps(jsonable(part))
+                    == json.dumps(jsonable_by_asdict(part))), argv
 
 
 def test_jsonable_fraction_forms():

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from moricone import delpezzo
 from moricone import scenario as sc
 from moricone.certificates import verify_HE_hypotheses, verify_HEF_hypotheses
-from moricone.cones import (check_infeasibility_certificate,
+from moricone.cones import (DimensionMismatchError,
+                            check_infeasibility_certificate,
                             cone_from_rays, cones_equal, contains, dot,
                             dual, lp_feasible, primitive)
 
@@ -457,6 +458,28 @@ def test_refutation_strictness_is_essential():
     assert relaxed.feasible
     stored = sc.not_fano_type_refutation(sc.build_scenario(0, 2)).certificate
     assert strict.certificate == stored
+
+
+def test_refutation_is_built_once_and_rechecked_by_every_classify(monkeypatch):
+    first = sc.not_fano_type_refutation(sc.build_scenario(0, 2))
+    assert sc.not_fano_type_refutation(sc.build_scenario(3, 8)) is first
+    checked = []
+
+    def counting(lp, multipliers):
+        checked.append(multipliers)
+        return check_infeasibility_certificate(lp, multipliers)
+
+    monkeypatch.setattr(sc, "check_infeasibility_certificate", counting)
+    for r1, r2 in ((0, 2), (0, 2), (3, 8)):
+        assert not sc.classify(sc.build_scenario(r1, r2)).fano_type
+    assert checked == [first.certificate] * 3
+
+
+def test_scenario_rejects_a_curve_of_the_wrong_length():
+    s = sc.build_scenario(1, 2)
+    short = dataclasses.replace(s.curves[-1], vector=s.curves[-1].vector[:-1])
+    with pytest.raises(DimensionMismatchError, match="Picard rank"):
+        dataclasses.replace(s, curves=s.curves[:-1] + (short,))
 
 
 # ---------------------------------------------------------------------------
