@@ -1,11 +1,14 @@
 """moricone: exact rational cone computations for curves and divisors on
 two-step blowups of surface products.
 
-The package has six parts:
+The package has seven parts:
 
-* :mod:`moricone.cones` — exact rational vectors, polyhedral cones as sorted
-  primitive rays, dual cones by double description, membership/equality
-  certificates, and a small exact LP solver with infeasibility certificates.
+* :mod:`moricone.exact` — the core every verdict rests on: exact vectors,
+  polyhedral cones as sorted primitive rays, elimination, and the re-check
+  of infeasibility certificates.
+* :mod:`moricone.cones` — the cone engine, which no verdict uses: dual cones
+  by double description, membership/equality certificates, and a small
+  exact LP solver with infeasibility certificates.
 * :mod:`moricone.delpezzo` — numerical models of del Pezzo surfaces: Picard
   lattice, NE generators, (-1)-classes and nef-cone rays as Weyl orbits.
 * :mod:`moricone.blowup` — the two-step blowup engine: relative cones,
@@ -21,18 +24,10 @@ All arithmetic is exact (ints and fractions); nothing is ever rounded.
 
 __version__ = "0.1.0"
 
+from .exact import (  # noqa: F401
+    ConeError, DimensionMismatchError, LinealityError, PolyCone, generated)
 from .cones import (  # noqa: F401
-    ConeError,
-    DimensionMismatchError,
-    LinealityError,
-    PolyCone,
-    cone_from_rays,
-    cones_equal,
-    contains,
-    dual,
-    generated,
-    lp_feasible,
-)
+    cone_from_rays, cones_equal, contains, dual, lp_feasible)
 from .certificates import (  # noqa: F401
     CertificateError,
     ChainCertificate,

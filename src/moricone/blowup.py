@@ -7,14 +7,15 @@ triple (a, b, {c_i}) plus the inclusion flag a_subset_b.
 
 Divisor/curve conventions: E and F are the two exceptional divisors (first
 and second step), e and f the standard fiber curves; the intersection table
-between them is the 2x2 matrix returned by :func:`relative_pairing`.
+between them is the 2x2 matrix returned by :func:`relative_pairing`.  The
+relative cones are shown mutually dual by the matrix of their rays' pairings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import EqualityVerdict, PolyCone, cones_equal, dual, generated
+from .exact import PolyCone, generated
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ class ContractionReport:
 class RelativeCones:
     nef: PolyCone
     ne: PolyCone
-    duality_verdict: EqualityVerdict
+    pairing: tuple[tuple[int, ...], ...]   # nef ray i . curve ray j
+    mutually_dual: bool
 
 
 def relative_pairing() -> tuple[tuple[int, int], tuple[int, int]]:
@@ -75,27 +77,26 @@ def relative_pairing() -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def relative_cones() -> RelativeCones:
-    """Relative Nef and NE cones over the base, with verified duality.
+    """Relative Nef and NE cones over the base, with their duality decided
+    from the pairing matrix ``P`` of nef rays ``g_i`` against curve rays.
 
-    Nef is generated by -E and -(E+F) (coordinates in the (E, F) basis);
-    NE by the two curves e, f (their own coordinates).  The verdict records
-    that each is exactly the dual of the other under the pairing table —
-    recomputed, not assumed.
+    Nef is generated by -E and -(E+F) (coordinates in the (E, F) basis), NE
+    by the curves e, f (their own coordinates); both are bases of the plane.
+    ``x = sum a_i g_i`` pairs nonnegatively with NE exactly when ``P^T a >=
+    0``, and that set is cone(g) = {a >= 0} exactly when ``P`` is a positive
+    monomial matrix (one positive entry in each row and each column, zeros
+    elsewhere); likewise with the sides swapped.  A singular ``P`` means one
+    side's pairings do not span: its dual contains a line, so it is not dual.
     """
     m = relative_pairing()
-    nef_claimed = generated(2, [(-1, 0), (-1, -1)])
-    ne_claimed = generated(2, [(1, 0), (0, 1)])
-    # functional of curve c on divisor space: D . c = sum_i D_i * m[i][c]
-    curve_rows = [tuple(m[i][j] for i in range(2)) for j in range(2)]
-    nef_computed = dual(generated(2, curve_rows))
-    v1 = cones_equal(nef_computed, nef_claimed)
-    # functional of divisor D on curve space, for each claimed nef generator
-    div_rows = [tuple(sum(g[i] * m[i][j] for i in range(2)) for j in range(2))
-                for g in nef_claimed.rays]
-    ne_computed = dual(generated(2, div_rows))
-    v2 = cones_equal(ne_computed, ne_claimed)
-    verdict = v1 if not v1.equal else v2
-    return RelativeCones(nef_claimed, ne_claimed, verdict)
+    nef = generated(2, [(-1, 0), (-1, -1)])
+    ne = generated(2, [(1, 0), (0, 1)])
+    pairing = tuple(tuple(sum(g[i] * m[i][j] * c[j]
+                              for i in range(2) for j in range(2))
+                          for c in ne.rays) for g in nef.rays)
+    monomial = all(min(line) >= 0 and sum(map(bool, line)) == 1
+                   for line in pairing + tuple(zip(*pairing)))
+    return RelativeCones(nef, ne, pairing, len(pairing) == 2 and monomial)
 
 
 def k_degree(params: ConstructionParams) -> tuple[int, int]:

@@ -28,9 +28,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .cones import _basis_or_kernel, dot
+from .exact import Number, _basis_or_kernel, dot, exact_vector
 
-Number = Union[int, Fraction]
 Vec = tuple[Number, ...]
 Mat = tuple[Vec, ...]
 
@@ -39,17 +38,8 @@ class CertificateError(Exception):
     """Structurally invalid certificate (shapes, missing data, broken maps)."""
 
 
-def _vec(entries: Iterable[Number]) -> Vec:
-    """The entries as exact numbers: an ``int`` stays an ``int``, anything
-    else becomes a :class:`Fraction` (so no float is kept)."""
-    v = tuple(entries)
-    if {int}.issuperset(map(type, v)):
-        return v
-    return tuple(x if type(x) is int else Fraction(x) for x in v)
-
-
 def _mat(m: Iterable[Iterable[Number]]) -> Mat:
-    return tuple(map(_vec, m))
+    return tuple(map(exact_vector, m))
 
 
 def _apply(m: Mat, v: Sequence[Number]) -> Vec:
@@ -121,7 +111,8 @@ class ChainStep:
     def __post_init__(self):
         object.__setattr__(self, "restriction", _mat(self.restriction))
         if self.next_class is not None:
-            object.__setattr__(self, "next_class", _vec(self.next_class))
+            object.__setattr__(self, "next_class",
+                               exact_vector(self.next_class))
         if len(self.restriction) != self.child.rank:
             raise CertificateError(
                 f"step into {self.child.id!r}: restriction has "
@@ -140,7 +131,7 @@ class ChainCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(self, "divisor", _vec(self.divisor))
+        object.__setattr__(self, "divisor", exact_vector(self.divisor))
         if not self.steps:
             raise CertificateError(
                 "a chain needs at least one stratum; encode a bare root as a "
@@ -164,7 +155,7 @@ class GridCell:
         for attr in ("right_class", "down_class"):
             v = getattr(self, attr)
             if v is not None:
-                v = _vec(v)
+                v = exact_vector(v)
                 object.__setattr__(self, attr, v)
                 if len(v) != self.stratum.rank:
                     raise CertificateError(
@@ -197,7 +188,7 @@ class GridCertificate:
     def __post_init__(self):
         object.__setattr__(self, "outer", tuple(self.outer))
         object.__setattr__(self, "cells", dict(self.cells))
-        object.__setattr__(self, "divisor", _vec(self.divisor))
+        object.__setattr__(self, "divisor", exact_vector(self.divisor))
         a, b, c = self.a, self.b, self.c
         if not (0 <= c <= min(a, b)):
             raise CertificateError(f"grid extents need 0 <= c <= min(a, b), "

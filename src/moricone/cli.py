@@ -34,7 +34,7 @@ from .certificates import (
     verify_HEF_hypotheses,
     verify_chain,
 )
-from .cones import ConeError
+from .exact import ConeError
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -95,21 +95,20 @@ def _fmt(x) -> str:
 def _cmd_cones_relative(args):
     rc = blowup.relative_cones()
     rows = blowup.relative_pairing()
-    ok = rc.duality_verdict.equal
+    ok = rc.mutually_dual
     lines = [
         "pairing table, rows (E, F) x columns (e, f): "
         f"{_fmt(rows)}",
         f"curve cone rays (e, f coordinates): {_fmt(rc.ne.rays)}",
         f"nef cone rays (E, F coordinates): {_fmt(rc.nef.rays)}",
+        f"pairing matrix, nef rays x curve rays: {_fmt(rc.pairing)}",
         "relative duality: " + ("verified (each cone is the exact dual of "
                                 "the other)" if ok else "REFUTED"),
     ]
+    extra = {"pairing_matrix": rc.pairing}
     verdicts = {"relative_duality": "verified" if ok else "refuted"}
-    witnesses = {}
-    if not ok:
-        witnesses["duality"] = {"ray": rc.duality_verdict.witness_ray,
-                                "side": rc.duality_verdict.witness_side}
-    return (EXIT_VERIFIED if ok else EXIT_REFUTED), lines, {}, verdicts, witnesses
+    witnesses = {} if ok else {"duality": {"pairing_matrix": rc.pairing}}
+    return (EXIT_VERIFIED if ok else EXIT_REFUTED), lines, extra, verdicts, witnesses
 
 
 def _cmd_classify_construction(args):
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     Each subcommand's handler (``_cmd_*``) is bound when the parser is first
     built, so replacing a ``_cmd_*`` attribute later has no effect; tests
-    patch the ``scenario`` or ``cones`` functions the handlers call instead.
+    patch the ``scenario`` or ``blowup`` functions the handlers call instead.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE",

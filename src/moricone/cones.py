@@ -1,4 +1,4 @@
-"""Exact rational polyhedral cones with certificates.
+"""The exact cone engine: pruning, membership, equality and dual cones.
 
 Conventions
 -----------
@@ -13,9 +13,8 @@ Conventions
   functional, or an infeasibility combination.
 * One exact LP engine, a phase-1 simplex with Bland's rule, serves
   :func:`contains`, :func:`cone_from_rays`, :func:`cones_equal` and
-  :func:`lp_feasible`.  No printed verdict reaches it, and only the 2x2
-  relative cones reach :func:`dual`; the others rest on exact pairings and
-  :func:`check_infeasibility_certificate`.
+  :func:`lp_feasible`.  Tests, the benchmark and the public API use the
+  engine; no verdict does, as verdicts rest on :mod:`moricone.exact` alone.
 
 All arithmetic uses Python ints and ``fractions.Fraction``; no floats.
 """
@@ -25,104 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
-Number = Union[int, Fraction]
-IntVector = tuple[int, ...]
+from .exact import (DimensionMismatchError, IntVector, LinealityError,
+                    LinearProgram, Number, PolyCone, _basis_or_kernel,
+                    _check_pairings_nonnegative, _reduce_int,
+                    check_infeasibility_certificate, dot, exact_vector,
+                    generated)
+
 Vector = tuple[Fraction, ...]
-
-
-class ConeError(Exception):
-    """Base class for cone-engine failures."""
-
-
-class DimensionMismatchError(ConeError):
-    """A vector's length does not match the ambient dimension."""
-
-
-class LinealityError(ConeError):
-    """A cone that must be pointed (or span the space, for dualization)
-    fails to be; ``witness`` explains why, as the raising function says."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-# ---------------------------------------------------------------------------
-# vector helpers
-# ---------------------------------------------------------------------------
-
-def fvec(entries: Iterable[Number]) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
-def dot(u: Sequence[Number], v: Sequence[Number]):
-    """Standard dot product (exact)."""
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"dot: lengths {len(u)} and {len(v)} differ")
-    return sum(map(mul, u, v))
-
-
-def _idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
-
-
-def primitive(v: Sequence[Number]) -> IntVector:
-    """Scale ``v`` by a positive rational to primitive integer form.
-
-    The zero vector maps to itself.  Direction is preserved (the scale factor
-    is always positive), so rays are never flipped.
-    """
-    fr = [x if type(x) is int else Fraction(x) for x in v]
-    den = lcm(*(x.denominator for x in fr))
-    ints = [x.numerator * (den // x.denominator) for x in fr]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g else tuple(ints)
-
-
-def is_zero(v: Sequence[Number]) -> bool:
-    return all(x == 0 for x in v)
 
 
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolyCone:
-    """A rational polyhedral cone in V-form.
-
-    ``rays`` are primitive integer vectors, distinct and sorted
-    lexicographically.  They are exactly the extremal rays of a pointed cone,
-    except from :func:`generated`, which keeps redundant generators.
-    """
-
-    dim: int
-    rays: tuple[IntVector, ...]
-
-
-def generated(dim: int, vectors: Iterable[Sequence[Number]]) -> PolyCone:
-    """The cone generated by ``vectors``: each rescaled to primitive form,
-    zeros and duplicates dropped, sorted.  No LP runs, so redundant
-    generators stay and pointedness is not checked.
-
-    Raises :class:`DimensionMismatchError` if some vector has the wrong
-    length.
-    """
-    cleaned = set()
-    for i, r in enumerate(vectors):
-        rr = tuple(r)
-        if len(rr) != dim:
-            raise DimensionMismatchError(
-                f"ray #{i} has length {len(rr)}, expected {dim}")
-        p = primitive(rr)
-        if not is_zero(p):
-            cleaned.add(p)
-    return PolyCone(dim, tuple(sorted(cleaned)))
-
 
 def cone_from_rays(dim: int, rays: Iterable[Sequence[Number]]) -> PolyCone:
     """Canonicalize a generating set: :func:`generated`, then remove
@@ -183,7 +99,7 @@ def contains(cone: PolyCone, v: Sequence[Number]) -> Membership:
     if len(v) != cone.dim:
         raise DimensionMismatchError(
             f"vector has length {len(v)}, cone dimension is {cone.dim}")
-    vv = fvec(v)
+    vv = exact_vector(v)
     feasible, lam, y = _phase1_simplex(cone.rays, vv)
     if feasible:
         return Membership(True, combination=tuple(lam))
@@ -376,38 +292,6 @@ def dual(cone: PolyCone) -> PolyCone:
     return PolyCone(d, tuple(out))
 
 
-def _check_pairings_nonnegative(rows: Sequence[IntVector],
-                                rays: Sequence[IntVector]) -> None:
-    """Raise :class:`AssertionError`, naming the first ray that fails,
-    unless ``row . r >= 0`` for every row and every ray.  One big-integer
-    pairing per ray decides all its rows (Kronecker substitution).
-
-    Let ``bound = d * max|row entry| * max|ray entry|`` and
-    ``W = bound.bit_length() + 1``, so every pairing has
-    ``|rows[i] . r| <= bound < 2**(W-1)``.  Column ``j`` packs the rows'
-    ``j``-th entries as ``cols[j] = sum_i rows[i][j] << (W*i)``, and ``top``
-    has ``2**(W-1)`` in every ``W``-bit digit.  Then
-    ``packed = sum_j r[j] * cols[j] + top = sum_i (rows[i] . r + 2**(W-1))
-    << (W*i)``, and every coefficient lies in ``[1, 2**W)``.  So ``packed``
-    is written in base ``2**W`` with no carry or borrow, its ``i``-th digit
-    is ``rows[i] . r + 2**(W-1)``, and that digit's top bit is set exactly
-    when ``rows[i] . r >= 0``.  A ray passes iff ``packed & top == top``.
-    """
-    d = len(rows[0])
-    bound = (d * max(abs(x) for row in rows for x in row)
-             * max((abs(x) for r in rays for x in r), default=0))
-    w = bound.bit_length() + 1
-    cols = [0] * d
-    ones = 0
-    for row in reversed(rows):
-        cols = [(c << w) + x for c, x in zip(cols, row)]
-        ones = (ones << w) + 1
-    top = ones << (w - 1)
-    for r in rays:
-        if (sum(map(mul, r, cols)) + top) & top != top:
-            raise AssertionError(f"ray {r} pairs negatively with a row")
-
-
 # Sign codes of a row's pairings with the live rays (``signs``), and the
 # tables that pick one code out of them by ``bytes.translate``.
 _NEGATIVE, _ZERO, _POSITIVE = 0, 1, 2
@@ -562,107 +446,6 @@ def _picker(keys: list) -> Callable:
     return lambda s: tuple(s[key] for key in keys)
 
 
-def _reduce_int(vec: Sequence[int]) -> IntVector:
-    g = gcd(*vec)
-    if g <= 1:
-        return tuple(vec)
-    return tuple(x // g for x in vec)
-
-
-def _eliminate(v: list[int], e: list[int], p: int) -> list[int]:
-    """``e[p] * v - v[p] * e`` divided by its gcd: ``v`` with column ``p``
-    cleared by the row ``e``, whose pivot is ``p``."""
-    f, c = e[p], v[p]
-    w = [f * a - c * b for a, b in zip(v, e)]
-    g = gcd(*w)
-    return [a // g for a in w] if g > 1 else w
-
-
-def _basis_or_kernel(rows: Sequence[Sequence[Number]], d: int
-                     ) -> tuple[Optional[list[int]], Optional[list[IntVector]],
-                                Optional[IntVector]]:
-    """One fraction-free Gauss–Jordan pass over ``rows``.
-
-    A row is first paired with ``kernel``, a basis of the vectors
-    orthogonal to the rows chosen so far (one per free column, built by
-    :func:`_kernel_vectors`): if every pairing is 0, the row is zero or in
-    the span of the chosen rows, and it is skipped with no elimination.  An
-    independent row is cleared of denominators by :func:`primitive` and
-    carries, after its ``d`` entries, its combination of the chosen rows:
-    a unit entry in the slot it takes.  It is reduced against every stored
-    row by :func:`_eliminate`; the first nonzero entry of its first ``d``
-    is its pivot, the row is chosen and every stored row is cleared at that
-    pivot by it.  The reduced row is thus a nonzero multiple of the row
-    rational elimination would reduce it to, so the pivots, the chosen
-    indices and the kernel line are the same.  Stored row ``k`` reads
-    ``c_k e_{p_k} | T_k`` with ``T_k B = c_k e_{p_k}`` for the matrix ``B``
-    of the chosen rows, and ``L = lcm(c_k)``.
-
-    When the rows span the space, returns ``(indices, rays, None)``:
-    ``indices`` is the first maximal independent subset, scanning in order,
-    and ``rays[j]`` is column ``j`` of ``L * B^{-1}`` (entry ``T_k[j] * L /
-    c_k`` at ``p_k``) made primitive, so it pairs positively with chosen row
-    ``j`` and to zero with the others.  Otherwise returns ``(None, None,
-    z)``: ``z`` is the first kernel vector made primitive, so row . z = 0
-    for all rows.  Both results are checked against the input rows, and a
-    failed check raises :class:`AssertionError`.  Only the returned rays
-    and witness go through :func:`_reduce_int`.
-    """
-    chosen: list[int] = []
-    stored: list[list[int]] = []
-    pivots: list[int] = []
-    kernel = _kernel_vectors(stored, pivots, d)
-    for i, row in enumerate(rows):
-        if not any(_idot(row, z) for z in kernel):
-            continue
-        v = list(primitive(row)) + [0] * d
-        v[d + len(chosen)] = 1
-        for e, p in zip(stored, pivots):
-            if v[p]:
-                v = _eliminate(v, e, p)
-        piv = next(j for j in range(d) if v[j])
-        stored = [_eliminate(e, v, piv) if e[piv] else e for e in stored]
-        stored.append(v)
-        pivots.append(piv)
-        chosen.append(i)
-        if len(chosen) == d:
-            break
-        kernel = _kernel_vectors(stored, pivots, d)
-    if len(chosen) == d:
-        by_col = sorted(zip(pivots, stored))
-        scale = lcm(*(e[p] for p, e in by_col))
-        rays = [_reduce_int([e[d + j] * (scale // e[p]) for p, e in by_col])
-                for j in range(d)]
-        for j, r in enumerate(rays):
-            pairs = [_idot(rows[i], r) for i in chosen]
-            if pairs[j] <= 0 or pairs.count(0) != d - 1:
-                raise AssertionError(
-                    "initial ray does not pair with the basis as its inverse")
-        return chosen, rays, None
-    out = _reduce_int(kernel[0])
-    if any(_idot(row, out) != 0 for row in rows):
-        raise AssertionError("kernel vector is not orthogonal to every row")
-    return None, None, out
-
-
-def _kernel_vectors(stored: Sequence[list[int]], pivots: Sequence[int],
-                    d: int) -> list[list[int]]:
-    """One vector per free column ``f``, in column order, orthogonal to
-    every stored row: ``L`` at ``f``, ``-e_k[f] * L / c_k`` at ``p_k`` and
-    zeros elsewhere.  Together they span the kernel of the chosen rows."""
-    scale = lcm(*(e[p] for e, p in zip(stored, pivots)))
-    vectors = []
-    for f in range(d):
-        if f in pivots:
-            continue
-        z = [0] * d
-        z[f] = scale
-        for e, p in zip(stored, pivots):
-            z[p] = -e[f] * (scale // e[p])
-        vectors.append(z)
-    return vectors
-
-
 # ---------------------------------------------------------------------------
 # phase-1 simplex (exact, Bland's rule)
 # ---------------------------------------------------------------------------
@@ -752,42 +535,6 @@ def _phase1_simplex(columns: Sequence[Sequence[Number]],
 # exact LP feasibility with certificates
 # ---------------------------------------------------------------------------
 
-VALID_RELATIONS = (">=", ">", "=")
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """``coeffs . x  REL  bound`` with REL one of '>=', '>', '='."""
-
-    coeffs: Vector
-    relation: str
-    bound: Fraction
-    label: str = ""
-
-    def __post_init__(self):
-        if self.relation not in VALID_RELATIONS:
-            raise ValueError(f"relation must be one of {VALID_RELATIONS}, "
-                             f"got {self.relation!r}")
-
-
-def constraint(coeffs: Iterable[Number], relation: str, bound: Number,
-               label: str = "") -> LinearConstraint:
-    return LinearConstraint(fvec(coeffs), relation, Fraction(bound), label)
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    nvars: int
-    constraints: tuple[LinearConstraint, ...]
-
-    def __post_init__(self):
-        for i, c in enumerate(self.constraints):
-            if len(c.coeffs) != self.nvars:
-                raise DimensionMismatchError(
-                    f"constraint #{i} has {len(c.coeffs)} coefficients, "
-                    f"expected {self.nvars}")
-
-
 @dataclass(frozen=True)
 class LPResult:
     """Feasibility verdict with certificate.
@@ -802,28 +549,6 @@ class LPResult:
     feasible: bool
     point: Optional[Vector] = None
     certificate: Optional[Vector] = None
-
-
-def check_infeasibility_certificate(lp: LinearProgram,
-                                    mu: Sequence[Number]) -> bool:
-    """Re-derive the contradiction from a certificate, fully independently."""
-    if len(mu) != len(lp.constraints):
-        return False
-    mu = fvec(mu)
-    combo = [Fraction(0)] * lp.nvars
-    rhs = Fraction(0)
-    strict_weight = Fraction(0)
-    for m, c in zip(mu, lp.constraints):
-        if c.relation in (">=", ">") and m < 0:
-            return False
-        for k in range(lp.nvars):
-            combo[k] += m * c.coeffs[k]
-        rhs += m * c.bound
-        if c.relation == ">":
-            strict_weight += m
-    if any(x != 0 for x in combo):
-        return False
-    return rhs > 0 or (rhs == 0 and strict_weight > 0)
 
 
 def lp_feasible(lp: LinearProgram) -> LPResult:

@@ -14,7 +14,7 @@ from functools import cache
 from operator import neg
 from typing import Sequence
 
-from .cones import (DimensionMismatchError, PolyCone,
+from .exact import (DimensionMismatchError, PolyCone,
                     _check_pairings_nonnegative)
 
 MAX_POINTS = 8

@@ -50,7 +50,7 @@ from .certificates import (
     factor_grids,
     identity_matrix,
 )
-from .cones import (
+from .exact import (
     DimensionMismatchError,
     LinearProgram,
     PolyCone,
@@ -477,7 +477,7 @@ def delta_certificate(s: Scenario) -> dict:
 @dataclass(frozen=True)
 class RefutationResult:
     lp: LinearProgram
-    certificate: tuple[Fraction, ...]
+    certificate: tuple[int, ...]
 
 
 def refutation_system() -> LinearProgram:
@@ -507,7 +507,7 @@ def _refutation() -> RefutationResult:
     """The refutation does not depend on the scenario: build it once.  Both
     fields are immutable, so every caller may share it."""
     return RefutationResult(lp=refutation_system(),
-                            certificate=tuple(map(Fraction, (0, 1, 1, 1))))
+                            certificate=(0, 1, 1, 1))
 
 
 def classify_all() -> dict[tuple[int, int], ClassificationResult]:

@@ -1,5 +1,10 @@
+from itertools import product
+
 import pytest
 
+from moricone import blowup
+from moricone.cones import cones_equal, dual
+from moricone.exact import LinealityError, generated
 from moricone.blowup import (
     ConstructionParams,
     classify,
@@ -62,7 +67,38 @@ def test_relative_cones_duality_verified():
     rc = relative_cones()
     assert rc.nef.rays == ((-1, -1), (-1, 0))
     assert rc.ne.rays == ((0, 1), (1, 0))
-    assert rc.duality_verdict.equal
+    assert rc.pairing == ((1, 0), (0, 1))
+    assert rc.mutually_dual
+
+
+def _dual_by_engine(m):
+    """Both claimed cones equal the engine's dual of the other side's
+    pairing functionals under table ``m``; a side whose functionals do not
+    span has a dual with a line, so it is not dual."""
+    nef = generated(2, [(-1, 0), (-1, -1)])
+    ne = generated(2, [(1, 0), (0, 1)])
+    curve_rows = [tuple(m[i][j] for i in range(2)) for j in range(2)]
+    div_rows = [tuple(sum(g[i] * m[i][j] for i in range(2)) for j in range(2))
+                for g in nef.rays]
+    try:
+        return (cones_equal(dual(generated(2, curve_rows)), nef).equal
+                and cones_equal(dual(generated(2, div_rows)), ne).equal)
+    except LinealityError:
+        return False
+
+
+def test_pairing_matrix_agrees_with_the_engine(monkeypatch):
+    # Every table with entries in {-1, 0, 1}: the monomial test on the
+    # pairing matrix against two engine duals and two equality checks.
+    tables = [((a, b), (c, d)) for a, b, c, d in product((-1, 0, 1), repeat=4)]
+    verdicts = []
+    for m in tables:
+        monkeypatch.setattr(blowup, "relative_pairing", lambda m=m: m)
+        rc = relative_cones()
+        assert rc.mutually_dual == _dual_by_engine(m), m
+        verdicts.append(rc.mutually_dual)
+    assert len(tables) == 81
+    assert 0 < sum(verdicts) < 81
 
 
 def test_each_nef_generator_kills_one_curve():

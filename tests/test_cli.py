@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import moricone
+from moricone import blowup
 from moricone import scenario as sc
 from moricone.certificates import (CheckRecord, build_product_certificates,
                                    certificate_to_dict, tsukioka_factors)
@@ -49,6 +50,21 @@ def test_cones_relative_verifies():
     assert code == EXIT_VERIFIED
     assert "verified" in out
     assert "[[-1, 0], [1, -1]]" in out
+
+
+def test_cones_relative_refutes_a_non_monomial_table(monkeypatch, tmp_path):
+    # Under this table -E pairs positively with both curves, so the pairing
+    # matrix has a row with two positive entries: not mutually dual.
+    monkeypatch.setattr(blowup, "relative_pairing", lambda: ((-1, -1), (1, 0)))
+    out = tmp_path / "doc.json"
+    code, text = capture(["cones", "relative", "--out", str(out)])
+    assert code == EXIT_REFUTED
+    assert "relative duality: REFUTED" in text
+    assert "pairing matrix, nef rays x curve rays: [[1, 0], [1, 1]]" in text
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["verdicts"] == {"relative_duality": "refuted"}
+    assert doc["witnesses"] == {"duality": {"pairing_matrix": [[1, 0], [1, 1]]}}
+    assert doc["pairing_matrix"] == [[1, 0], [1, 1]]
 
 
 def test_classify_construction_flip():
@@ -556,10 +572,10 @@ def test_no_verdict_reaches_the_simplex(tmp_path, plain_reports):
         assert t == p, (argv, err[-500:])
 
 
-def test_no_verdict_but_cones_relative_dualises(tmp_path, plain_reports):
-    # The del Pezzo lists are Weyl orbits and Nef(X) is read off them, so
-    # with cones.dual trapped at every binding in the package only the 2x2
-    # relative cones change, and they fail as an internal error.
+def test_no_verdict_dualises(tmp_path, plain_reports):
+    # The del Pezzo lists are Weyl orbits, Nef(X) is read off them and the
+    # relative cones are decided by their pairing matrix, so with cones.dual
+    # trapped at every binding in the package every report is unchanged.
     trapped, err = _trapped_reports(tmp_path, [
         "from moricone import cones",
         "def trap(*args):",
@@ -571,12 +587,10 @@ def test_no_verdict_but_cones_relative_dualises(tmp_path, plain_reports):
         "            if v is real:",
         "                setattr(m, k, trap)",
     ])
-    relative = _VERDICT_ARGVS.index(["cones", "relative"])
-    assert trapped[relative][0] == EXIT_INTERNAL
-    assert "dual ran" in err
-    for i, (argv, t, p) in enumerate(zip(_VERDICT_ARGVS, trapped,
-                                         plain_reports)):
-        assert i == relative or t == p, (argv, err[-500:])
+    assert len(trapped) == len(plain_reports) == 48
+    assert "dual ran" not in err
+    for argv, t, p in zip(_VERDICT_ARGVS, trapped, plain_reports):
+        assert t == p, (argv, err[-500:])
     code, out, _ = trapped[_VERDICT_ARGVS.index(
         ["dp", "scenario", "--r1", "3", "--r2", "8", "--verify-cones",
          "--classify", "--json"])]
@@ -596,6 +610,26 @@ def test_non_nef_orbit_ray_is_an_internal_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.endswith(
         "AssertionError: ray (0, 1) pairs negatively with a row\n")
+
+
+def test_verdict_modules_import_no_engine():
+    # Every verdict rests on the exact core: no verdict module imports the
+    # cone engine, and the core imports no package module.
+    src = Path(moricone.__file__).parent
+    for stem in ("exact", "delpezzo", "certificates", "scenario", "blowup",
+                 "cli"):
+        imported = set()
+        tree = ast.parse((src / f"{stem}.py").read_text(encoding="utf-8"))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom):
+                base = "." * n.level + (n.module or "")
+                sep = "." if n.module else ""
+                imported |= {base, *(base + sep + a.name for a in n.names)}
+            elif isinstance(n, ast.Import):
+                imported |= {a.name for a in n.names}
+        assert not {".cones", "moricone.cones"} & imported, stem
+        if stem == "exact":
+            assert not any(m.startswith((".", "moricone")) for m in imported)
 
 
 def test_no_assert_statements_guard_verdicts():

@@ -10,24 +10,22 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from moricone import cones, delpezzo
+from moricone import cones, delpezzo, exact
 from moricone.cones import (
     DimensionMismatchError,
     LinealityError,
-    LinearConstraint,
     LinearProgram,
     PolyCone,
     check_infeasibility_certificate,
     cone_from_rays,
     cones_equal,
-    constraint,
     contains,
     dot,
     dual,
     generated,
     lp_feasible,
-    primitive,
 )
+from moricone.exact import LinearConstraint, constraint, primitive
 
 from .oracles import (
     _primitive,
@@ -452,16 +450,19 @@ def test_del_pezzo_8_nef_cone_count():
 
 def _negate_first_new_ray(set_attr, d):
     """Make ``dual`` negate the first ray double description builds; the
-    first ``d`` calls of ``_reduce_int`` scale the initial simplicial rays."""
+    first ``d`` calls of ``_reduce_int`` scale the initial simplicial rays.
+    ``dual`` calls it in ``cones`` and ``_basis_or_kernel`` in ``exact``, so
+    both bindings are patched."""
     calls = []
-    reduce_int = cones._reduce_int
+    reduce_int = exact._reduce_int
 
     def broken(vec):
         calls.append(vec)
         r = reduce_int(vec)
         return tuple(-x for x in r) if len(calls) == d + 1 else r
 
-    set_attr(cones, "_reduce_int", broken)
+    for module in (cones, exact):
+        set_attr(module, "_reduce_int", broken)
     return calls
 
 
@@ -475,7 +476,9 @@ def test_dual_makes_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise RuntimeError("dual made a Fraction")
 
-    monkeypatch.setattr(cones, "Fraction", no_fraction)
+    # ``dual`` is in ``cones`` and ``_basis_or_kernel`` in ``exact``.
+    for module in (cones, exact):
+        monkeypatch.setattr(module, "Fraction", no_fraction)
     assert len(dual(nef_rows).rays) == 99
     assert list(dual(simplicial).rays) == dual_by_inverse(simplicial.rays)
     with pytest.raises(LinealityError) as ei:

@@ -13,7 +13,8 @@ from moricone.certificates import verify_HE_hypotheses, verify_HEF_hypotheses
 from moricone.cones import (DimensionMismatchError,
                             check_infeasibility_certificate,
                             cone_from_rays, cones_equal, contains, dot,
-                            dual, lp_feasible, primitive)
+                            dual, lp_feasible)
+from moricone.exact import primitive
 
 from .oracles import (dual_by_facet_enumeration, reference_catalog,
                       reference_t1, relaxed_refutation_system,
@@ -458,6 +459,16 @@ def test_refutation_strictness_is_essential():
     assert relaxed.feasible
     stored = sc.not_fano_type_refutation(sc.build_scenario(0, 2)).certificate
     assert strict.certificate == stored
+
+
+def test_refutation_holds_only_int():
+    # The system and its multipliers are integral, so the re-check in
+    # classify makes no Fraction.
+    res = sc.not_fano_type_refutation(sc.build_scenario(0, 2))
+    values = list(res.certificate)
+    for c in res.lp.constraints:
+        values += [*c.coeffs, c.bound]
+    assert {type(v) for v in values} == {int}
 
 
 def test_refutation_is_built_once_and_rechecked_by_every_classify(monkeypatch):
