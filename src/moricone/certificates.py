@@ -8,12 +8,11 @@ checking at each stratum that the restricted divisor minus the class of the
 next stratum stays nef; a *grid certificate* does the same over a rectangular
 grid of strata below an outer chain, subtracting both neighbor classes.
 
-Product certificates are assembled from two factor grids by interleaving
-their chains so that each unit step moves exactly one factor; the factors'
-own nefness conditions (root, A-edge, B-edge) choose each interleaving.
-:func:`factor_grids` builds the factor grids of both worked constructions,
-the point x hypersurface fixtures and the del Pezzo scenario's T divisors,
-from one chain per factor.
+Product certificates are assembled for X1 x X2 blown up along {point} x A2
+and then along the strict transform of X1 x {point}, from one chain per
+factor; :func:`tsukioka_factors` gives the factor chains of the product of
+projective spaces construction, :func:`scenario.factor_chains_for_t1` those
+of the del Pezzo scenario's T divisors.
 
 Everything is exact: entries are ints or fractions, never floats.  Integral
 entries stay ``int`` (nothing here divides), and only a non-integral rational
@@ -375,7 +374,7 @@ def verify_HEF_hypotheses(cert: GridCertificate) -> Verdict:
 class ProductCertificates:
     chain: ChainCertificate        # certifies (pullback - E) hypotheses
     grid: GridCertificate          # certifies (pullback - E - F) hypotheses
-    cases: tuple[int, int, int]    # chosen alternatives: one of (1,2), (3,4), (5,6)
+    cases: tuple[int, int, int]    # alternatives (1 or 2, 3 or 4, 5)
 
 
 def _pad_vec(v: Vec, before: int, after: int) -> Vec:
@@ -400,26 +399,6 @@ def identity_matrix(n: int) -> Mat:
     return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
-def _conditions(g: GridCertificate) -> tuple[Optional[CheckRecord], ...]:
-    """The first failing check of each factor condition, None where it holds:
-    nefness of the divisor on the root stratum, then single-difference
-    nefness along the A-edge (cells (x, c) minus their right class) and along
-    the B-edge (cells (c, y) minus their down class)."""
-    values, outer_values = _propagate_grid(g)
-    root = g.outer[0].child
-    found = [[_run_check(root, outer_values[0], f"root ({root.id})")]]
-    for axis, end in (("A", g.a), ("B", g.b)):
-        found.append([])
-        for t in range(g.c, end):
-            at = (t, g.c) if axis == "A" else (g.c, t)
-            cell = g.cells[at]
-            nxt = cell.right_class if axis == "A" else cell.down_class
-            found[-1].append(_run_check(
-                cell.stratum, _sub(values[at], nxt),
-                f"{axis}-chain cell ({at[0]},{at[1]}) ({cell.stratum.id})"))
-    return tuple(next((r for r in recs if not r.passed), None) for recs in found)
-
-
 def _pick(pair_name: str, first_num: int, failing) -> int:
     """Choose the lowest-numbered alternative whose factor condition holds."""
     for offset, rec in enumerate(failing):
@@ -434,24 +413,6 @@ def _pick(pair_name: str, first_num: int, failing) -> int:
         f"{detail}")
 
 
-def _path(first: int, lo: tuple[int, int], hi: tuple[int, int]
-          ) -> list[tuple[int, int]]:
-    """Factor positions (p1, p2) from lo to hi, one factor moving per step:
-    factor `first` (0 or 1) walks its whole range before the other moves."""
-    pos = list(lo)
-    path = [lo]
-    for k in (first, 1 - first):
-        while pos[k] < hi[k]:
-            pos[k] += 1
-            path.append(tuple(pos))
-    return path
-
-
-def _mover(here: tuple[int, int], there: tuple[int, int]) -> int:
-    """The factor (0 or 1) that moves between adjacent path positions."""
-    return 0 if here[0] != there[0] else 1
-
-
 def _move(k: int, cls: Vec, m: Mat, s1: Stratum, s2: Stratum) -> tuple[Vec, Mat]:
     """Class of the next product stratum on s1*s2, and the restriction to it,
     when only factor k moves (by its class cls and its restriction m)."""
@@ -462,98 +423,83 @@ def _move(k: int, cls: Vec, m: Mat, s1: Stratum, s2: Stratum) -> tuple[Vec, Mat]
             _block_diag(identity_matrix(s1.rank), s1.rank, m, s2.rank))
 
 
-def _a_chain(g: GridCertificate) -> list[ChainStep]:
-    """The steps from the root down the outer chain and on along the grid's
-    A-edge, cells (q, c)."""
-    edge = [g.cells[(q, g.c)] for q in range(g.c, g.a + 1)]
-    corner = g.outer[-1]
-    return [*g.outer[:-1],
-            ChainStep(child=corner.child, restriction=corner.restriction,
-                      next_class=edge[0].right_class),
-            *(ChainStep(child=cell.stratum, restriction=prev.right_map,
-                        next_class=cell.right_class)
-              for prev, cell in zip(edge, edge[1:]))]
-
-
-def _interleave(chains, roots: tuple[int, int], path) -> list[ChainStep]:
-    """Product chain along a path from (0, 0) through two factor chains: a
-    step's restriction comes from the move into it, its next class from the
-    move out of it (none at the path's end)."""
-    restriction = _block_diag(chains[0][0].restriction, roots[0],
-                              chains[1][0].restriction, roots[1])
+def _product_chain(f1: ChainCertificate, f2: ChainCertificate,
+                   moves: Sequence[int]) -> list[ChainStep]:
+    """Product chain from the two roots, each move taking one factor (0 or 1)
+    one step down its chain: a step's restriction comes from the move into
+    it, its next class from the move out of it (none after the last)."""
+    factors = (f1.steps, f2.steps)
+    pos = [0, 0]
+    restriction = _block_diag(f1.steps[0].restriction, f1.root_rank,
+                              f2.steps[0].restriction, f2.root_rank)
     steps = []
-    for j, pos in enumerate(path):
-        s1, s2 = chains[0][pos[0]].child, chains[1][pos[1]].child
+    for k in (*moves, None):
+        s1, s2 = f1.steps[pos[0]].child, f2.steps[pos[1]].child
         next_class = next_map = None
-        if j + 1 < len(path):
-            k = _mover(pos, path[j + 1])
-            next_class, next_map = _move(k, chains[k][pos[k]].next_class,
-                                         chains[k][pos[k] + 1].restriction,
+        if k is not None:
+            here, there = factors[k][pos[k]:pos[k] + 2]
+            next_class, next_map = _move(k, here.next_class, there.restriction,
                                          s1, s2)
+            pos[k] += 1
         steps.append(ChainStep(child=_product_stratum(s1, s2),
                                restriction=restriction, next_class=next_class))
         restriction = next_map
     return steps
 
 
-def build_product_certificates(f1: GridCertificate,
-                               f2: GridCertificate) -> ProductCertificates:
-    """Assemble product chain and grid certificates from two factor grids.
+def build_product_certificates(f1: ChainCertificate,
+                               f2: ChainCertificate) -> ProductCertificates:
+    """Assemble product chain and grid certificates for X1 x X2 blown up
+    along {point} x A2, then along the strict transform of X1 x {point}.
 
-    The interleavings mirror the product nefness lemmas: the outer chain
-    moves the factor whose divisor is *not* globally nef first (alternatives
-    1/2), the row chains are keyed to which factor's B-chain differences are
-    nef (5/6), and the column chains to which factor's A-chain differences
-    are nef (3/4).  Both factors' conditions are checked up front; the
-    lowest-numbered alternative of each pair whose condition holds is
-    chosen, and if a pair has none, each factor's first violated check is
-    reported.
+    ``f1`` runs from X1 down to the point; ``f2`` runs from X2 to A2 (step
+    1) and on down to the point.  The outer chain moves factor 2 to A2; the
+    grid below it moves factor 1 down its chain to the right and factor 2
+    down its chain below A2 downward.  The single-blowup chain moves factor
+    2 first when factor 1's divisor is nef on X1 (alternative 1), else
+    factor 1 first when factor 2's is nef on X2 (alternative 2); if neither
+    is, each factor's violated check is reported.  On this shape only factor
+    1 moves along A and only factor 2 along B, so the other alternatives
+    cannot change a certificate: ``cases`` reports 3 when factor 1's chain
+    differences are nef (4 otherwise), and always 5.
     """
-    root, a_edge, b_edge = zip(_conditions(f1), _conditions(f2))
-    x_case = _pick("globally-nef-divisor", 1, root)
-    a_sel = _pick("A-chain", 3, a_edge)
-    b_sel = _pick("B-chain", 5, b_edge)
+    if len(f2.steps) < 2:
+        raise CertificateError("factor 2's chain needs A2 as its step 1")
+    roots = [_run_check(f.steps[0].child,
+                        _apply(f.steps[0].restriction, f.divisor),
+                        f"root ({f.steps[0].child.id})") for f in (f1, f2)]
+    x_case = _pick("globally-nef-divisor", 1,
+                   [None if r.passed else r for r in roots])
+    a_sel = 3 if all(r.passed for r in _walk_chain(f1)[:-1]) else 4
 
-    # The factor that walks its chain first: factor 2 (index 1) when factor
-    # 1's divisor is nef (1) on the outer chain and the A-chain, when factor
-    # 1's B-chain differences are nef (5) along A, and when factor 1's
-    # A-chain differences are nef (3) along B.
-    x_first, a_first, b_first = int(x_case == 1), int(b_sel == 5), int(a_sel == 3)
-    roots = (f1.root_rank, f2.root_rank)
-    chains = (_a_chain(f1), _a_chain(f2))
-    corner, c = (f1.c, f2.c), f1.c + f2.c
-    apath = _path(a_first, corner, (f1.a, f2.a))
-    bpath = _path(b_first, corner, (f1.b, f2.b))
-
+    a, b = len(f1.steps) - 1, len(f2.steps) - 1
     cells: dict[tuple[int, int], GridCell] = {}
-    for i, (x1, x2) in enumerate(apath):
-        for j, (y1, y2) in enumerate(bpath):
-            here = (f1.cells[(x1, y1)], f2.cells[(x2, y2)])
-            s1, s2 = here[0].stratum, here[1].stratum
+    for x in range(a + 1):
+        for y in range(1, b + 1):
+            s1, s2 = f1.steps[x].child, f2.steps[y].child
             right = down = (None, None)
-            if i + 1 < len(apath):
-                k = _mover(apath[i], apath[i + 1])
-                right = _move(k, here[k].right_class, here[k].right_map, s1, s2)
-            if j + 1 < len(bpath):
-                k = _mover(bpath[j], bpath[j + 1])
-                down = _move(k, here[k].down_class, here[k].down_map, s1, s2)
-            cells[(c + i, c + j)] = GridCell(
+            if x < a:
+                right = _move(0, f1.steps[x].next_class,
+                              f1.steps[x + 1].restriction, s1, s2)
+            if y < b:
+                down = _move(1, f2.steps[y].next_class,
+                             f2.steps[y + 1].restriction, s1, s2)
+            cells[(x + 1, y)] = GridCell(
                 stratum=_product_stratum(s1, s2),
                 right_class=right[0], right_map=right[1],
                 down_class=down[0], down_map=down[1])
 
-    divisor = tuple(f1.divisor) + tuple(f2.divisor)
-    grid = GridCertificate(
-        a=f1.a + f2.a, b=f1.b + f2.b, c=c, root_rank=sum(roots),
-        outer=_interleave(chains, roots, _path(x_first, (0, 0), corner)),
-        cells=cells, divisor=divisor)
-    # The single-blowup chain runs along the full A-chains; the last
-    # position, the center itself, is not a step.
-    a_path = _path(x_first, (0, 0), (f1.a, f2.a))
-    chain = ChainCertificate(root_rank=sum(roots), divisor=divisor,
-                             steps=_interleave(chains, roots, a_path)[:-1])
-    return ProductCertificates(chain=chain, grid=grid,
-                               cases=(x_case, a_sel, b_sel))
+    root_rank = f1.root_rank + f2.root_rank
+    divisor = f1.divisor + f2.divisor
+    grid = GridCertificate(a=a + 1, b=b, c=1, root_rank=root_rank,
+                           outer=_product_chain(f1, f2, (1,)), cells=cells,
+                           divisor=divisor)
+    # The single-blowup chain ends at the center {point} x A2, which is not
+    # a step.
+    moves = (1,) + (0,) * a if x_case == 1 else (0,) * a + (1,)
+    chain = ChainCertificate(root_rank=root_rank, divisor=divisor,
+                             steps=_product_chain(f1, f2, moves)[:-1])
+    return ProductCertificates(chain=chain, grid=grid, cases=(x_case, a_sel, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -713,41 +659,12 @@ def _certificate_from_dict(data, kind):
 
 
 # ---------------------------------------------------------------------------
-# factor grids: X1 x X2 blown up along {point} x A2, then along X1 x {point}
+# factor chains: P^n1 x P^n2 blown up along {point} x L_d, then X1 x {point}
 # ---------------------------------------------------------------------------
 
-def factor_grids(chain1: Sequence[ChainStep], divisor1: Iterable[Number],
-                 chain2: Sequence[ChainStep], divisor2: Iterable[Number]
-                 ) -> tuple[GridCertificate, GridCertificate]:
-    """Factor grids from one chain per factor, each running from the factor's
-    root (an identity restriction) down to a point.
-
-    Factor 1 is one column: its A-chain is all of ``chain1`` and its B-chain
-    is empty.  Factor 2 takes one outer step, from the root to A2 =
-    ``chain2[1]``, and its grid is the single row ``chain2[1:]``, the B-chain
-    from A2 down to a point.
-    """
-    a, b = len(chain1) - 1, len(chain2) - 1
-    cells1 = {(x, 0): GridCell(stratum=s.child, right_class=s.next_class,
-                               right_map=nxt.restriction)
-              for x, (s, nxt) in enumerate(zip(chain1, chain1[1:]))}
-    cells1[(a, 0)] = GridCell(stratum=chain1[a].child)
-    root1 = ChainStep(child=chain1[0].child, restriction=chain1[0].restriction)
-    cells2 = {(1, y): GridCell(stratum=chain2[y].child,
-                               down_class=chain2[y].next_class,
-                               down_map=chain2[y + 1].restriction)
-              for y in range(1, b)}
-    cells2[(1, b)] = GridCell(stratum=chain2[b].child)
-    corner2 = ChainStep(child=chain2[1].child, restriction=chain2[1].restriction)
-    return (GridCertificate(a=a, b=0, c=0, root_rank=chain1[0].child.rank,
-                            outer=(root1,), cells=cells1, divisor=divisor1),
-            GridCertificate(a=1, b=b, c=1, root_rank=chain2[0].child.rank,
-                            outer=(chain2[0], corner2), cells=cells2,
-                            divisor=divisor2))
-
-
-def tsukioka_factors(n1: int, n2: int, d: int) -> tuple[GridCertificate, GridCertificate]:
-    """Factor grids for the product of projective spaces construction: the
+def tsukioka_factors(n1: int, n2: int, d: int
+                     ) -> tuple[ChainCertificate, ChainCertificate]:
+    """Factor chains for the product of projective spaces construction: the
     first center is {point} x L_d, the second is X_1 x {point} with the point
     on the degree-d hypersurface L_d in P^n2.
 
@@ -779,4 +696,6 @@ def tsukioka_factors(n1: int, n2: int, d: int) -> tuple[GridCertificate, GridCer
     chain2 = [step(f"P^{n2}", unit, next_class=(d,))]
     chain2 += [step(f"L_{d}" if y == 1 else "C" if y == n2 - 1 else f"S_{y}",
                     ((d,),) if y == n2 - 1 else unit) for y in range(1, n2)]
-    return factor_grids(chain1, (1,), chain2 + [point("pt")], (d,))
+    return (ChainCertificate(root_rank=1, steps=chain1, divisor=(1,)),
+            ChainCertificate(root_rank=1, steps=chain2 + [point("pt")],
+                             divisor=(d,)))

@@ -42,12 +42,11 @@ from typing import Optional, Sequence
 
 from . import delpezzo
 from .certificates import (
+    ChainCertificate,
     ChainStep,
-    GridCertificate,
     ProductCertificates,
     Stratum,
     build_product_certificates,
-    factor_grids,
     identity_matrix,
 )
 from .exact import (
@@ -537,30 +536,30 @@ def _curve_for_t1(n1bar: Sequence[int]) -> tuple[int, ...]:
     return tuple(1 if k == 0 else -int(k == j) for k in range(len(n1bar)))
 
 
-def factor_grids_for_t1(s: Scenario, n1: NamedVector) -> tuple[GridCertificate, GridCertificate]:
-    """Factor data for certifying N1 + H2 - E (-F): the chains X1 > C > point
-    on the first factor and X2 > A2 (the line class) > point on the second,
-    laid out by :func:`certificates.factor_grids`."""
+def factor_chains_for_t1(s: Scenario, n1: NamedVector
+                         ) -> tuple[ChainCertificate, ChainCertificate]:
+    """Factor chains for certifying N1 + H2 - E (-F): X1 > C > point on the
+    first factor and X2 > A2 (the line class) > point on the second."""
     n1bar = n1.vector[:s.r1 + 1]
     h2bar = (1,) + (0,) * s.r2
-    chains = []
-    for root, lattice, curve, cls in (("X1", s.lattice1, "C", _curve_for_t1(n1bar)),
-                                      ("X2", s.lattice2, "A2", h2bar)):
-        chains.append((
+    return tuple(
+        ChainCertificate(root_rank=lattice.rank, divisor=divisor, steps=(
             ChainStep(child=_surface_stratum(root, lattice),
                       restriction=identity_matrix(lattice.rank), next_class=cls),
             ChainStep(child=Stratum(id=curve, rank=1, oracle_curves=((1,),)),
                       restriction=(delpezzo.pairing_row(cls),), next_class=(1,)),
             ChainStep(child=Stratum(id="pt", rank=0, oracle_curves=()),
                       restriction=())))
-    return factor_grids(chains[0], n1bar, chains[1], h2bar)
+        for root, lattice, curve, cls, divisor in (
+            ("X1", s.lattice1, "C", _curve_for_t1(n1bar), n1bar),
+            ("X2", s.lattice2, "A2", h2bar, h2bar)))
 
 
 def t_divisor_certificates(s: Scenario) -> dict[str, ProductCertificates]:
     """Product certificates for every divisor in T, keyed by divisor name."""
     out = {}
     for n1 in t1_divisors(s):
-        built = build_product_certificates(*factor_grids_for_t1(s, n1))
+        built = build_product_certificates(*factor_chains_for_t1(s, n1))
         out[f"{n1.name}+H2-E"] = built
         out[f"{n1.name}+H2-E-F"] = built
     return out

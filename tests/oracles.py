@@ -205,7 +205,7 @@ def t_certificates_agree_with_membership(s):
     vectors = {nv.name: nv.vector for nv in sc.t_divisors(s)}
     results = {}
     for n1 in sc.t1_divisors(s):
-        built = build_product_certificates(*sc.factor_grids_for_t1(s, n1))
+        built = build_product_certificates(*sc.factor_chains_for_t1(s, n1))
         for suffix, verdict in (("+H2-E", verify_HE_hypotheses(built.chain)),
                                 ("+H2-E-F", verify_HEF_hypotheses(built.grid))):
             name = n1.name + suffix

@@ -1,6 +1,7 @@
 """Tests for chain/grid nefness certificates and the product builder."""
 
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -250,9 +251,10 @@ def test_grid_missing_cell():
 
 def test_fixture_factor_shapes():
     f1, f2 = tsukioka_factors(2, 2, 2)
-    assert (f1.a, f1.b, f1.c) == (2, 0, 0)
-    assert (f2.a, f2.b, f2.c) == (1, 2, 1)
-    assert f2.divisor == (2,)
+    assert [s.child.id for s in f1.steps] == ["P^2", "P^1", "P^0"]
+    assert [s.child.id for s in f2.steps] == ["P^2", "L_2", "pt"]
+    assert [s.next_class for s in f2.steps] == [(2,), (1,), None]
+    assert (f1.divisor, f2.divisor) == ((1,), (2,))
 
 
 def test_product_md222_cases_and_chain():
@@ -326,32 +328,40 @@ def test_explicit_curve_chain_degree_check():
 
 def test_selector_error_reports_first_violated_condition():
     f1, f2 = tsukioka_factors(2, 2, 2)
-    # make both root divisors non-nef so the first pair has no admissible case
-    bad1 = GridCertificate(a=f1.a, b=f1.b, c=f1.c, root_rank=1,
-                           outer=f1.outer, cells=f1.cells, divisor=(-1,))
-    bad2 = GridCertificate(a=f2.a, b=f2.b, c=f2.c, root_rank=1,
-                           outer=f2.outer, cells=f2.cells, divisor=(-1,))
-    with pytest.raises(CertificateError, match=r"\(1\) fails at root"):
-        build_product_certificates(bad1, bad2)
+    # make both root divisors non-nef so the outer pair has no admissible case
+    with pytest.raises(CertificateError) as info:
+        build_product_certificates(dataclasses.replace(f1, divisor=(-1,)),
+                                   dataclasses.replace(f2, divisor=(-1,)))
+    assert str(info.value) == (
+        "no admissible case selector satisfied for the globally-nef-divisor "
+        "pair: (1) fails at root (P^2): value (-1,) pairs -1 with curve (1,); "
+        "(2) fails at root (P^2): value (-1,) pairs -1 with curve (1,)")
+
+
+def test_factor_2_needs_a_step_to_a2():
+    f1, f2 = tsukioka_factors(2, 2, 2)
+    with pytest.raises(CertificateError, match="A2"):
+        build_product_certificates(f1, dataclasses.replace(
+            f2, steps=(ChainStep(child=rank1("P^2"), restriction=I1),)))
 
 
 FIXTURES = ((2, 2, 2), (3, 2, 2), (2, 3, 3))
 CELL_3_8 = sc.build_scenario(3, 8)
 
 
-def force_cases(monkeypatch, cases):
-    """Make each pair of the product builder pick its alternative in
-    ``cases``: the other factor's condition fails, while the chosen factor
-    keeps its real condition, so the build still raises if that fails."""
-    real = certificates._conditions
-    calls = itertools.count()
+def force_outer(monkeypatch, case):
+    """Make the product builder pick ``case`` (1 or 2) for the outer pair:
+    the other factor's root check fails, while the chosen factor keeps its
+    real one, so the build still raises if that fails."""
+    real = certificates._pick
     failed = CheckRecord(location="forced", value=(), passed=False)
 
-    def forced(g):
-        factor = next(calls) % 2  # the builder asks factor 1, then factor 2
-        return tuple(rec if case - first == factor else failed
-                     for rec, case, first in zip(real(g), cases, (1, 3, 5)))
-    monkeypatch.setattr(certificates, "_conditions", forced)
+    def forced(pair_name, first_num, failing):
+        if first_num == 1:
+            failing = tuple(rec if k == case - 1 else failed
+                            for k, rec in enumerate(failing))
+        return real(pair_name, first_num, failing)
+    monkeypatch.setattr(certificates, "_pick", forced)
 
 
 def _factor_pair(source):
@@ -360,41 +370,66 @@ def _factor_pair(source):
     if isinstance(source, tuple):
         return tsukioka_factors(*source)
     n1 = next(n for n in sc.t1_divisors(CELL_3_8) if n.name == source)
-    return sc.factor_grids_for_t1(CELL_3_8, n1)
+    return sc.factor_chains_for_t1(CELL_3_8, n1)
 
 
-@pytest.mark.parametrize("cases", list(itertools.product((1, 2), (3, 4), (5, 6))),
+@pytest.mark.parametrize("cases", [(1, 3, 5), (2, 3, 5)],
                          ids=lambda t: "".join(map(str, t)))
 @pytest.mark.parametrize(
     "fixture", [*FIXTURES, *(n.name for n in sc.t1_divisors(CELL_3_8))],
     ids=lambda t: "_".join(map(str, t)) if isinstance(t, tuple) else f"T1_3_8_{t}")
 def test_every_alternative_builds_and_verifies(monkeypatch, fixture, cases):
-    # Forcing one alternative per pair walks the other interleaving order
-    # of the outer chain, the A-chain, the rows or the columns.
-    force_cases(monkeypatch, cases)
-    built = build_product_certificates(*_factor_pair(fixture))
+    # The single-blowup chain moves factor 2 to A2 first under alternative
+    # 1, and factor 1 first under alternative 2.
+    f1, f2 = _factor_pair(fixture)
+    force_outer(monkeypatch, cases[0])
+    built = build_product_certificates(f1, f2)
     assert built.cases == cases
+    x1, x2 = (0, 1) if cases[0] == 1 else (1, 0)
+    assert built.chain.steps[1].child.id == \
+        f"{f1.steps[x1].child.id}*{f2.steps[x2].child.id}"
     assert verify_HE_hypotheses(built.chain).ok
     assert verify_HEF_hypotheses(built.grid).ok
 
 
-@pytest.mark.parametrize("cases", list(itertools.product((1, 2), (3, 4), (5, 6))),
-                         ids=lambda t: "".join(map(str, t)))
-def test_alternatives_set_the_walk_order(monkeypatch, cases):
-    # In the fixtures one factor never moves along A or B, so only the outer
-    # order shows there; two square grids move both factors on every axis.
-    square = make_square_grid(2)
-    force_cases(monkeypatch, cases)
-    built = build_product_certificates(square, square)
-    assert built.cases == cases
-    first = {True: "Z00*Z10", False: "Z10*Z00"}  # factor 2 first, factor 1
-    assert [s.child.id for s in built.chain.steps] == \
-        ["Z00*Z00", first[cases[0] == 1]]
-    assert built.grid.cells[(1, 0)].stratum.id == first[cases[2] == 5]
-    assert built.grid.cells[(0, 1)].stratum.id == \
-        {True: "Z00*Z01", False: "Z01*Z00"}[cases[1] == 3]
-    assert verify_HE_hypotheses(built.chain).ok
-    assert verify_HEF_hypotheses(built.grid).ok
+def test_failing_a_chain_difference_reports_alternative_4():
+    # Twice the line class on P^2 exceeds the hyperplane divisor: factor 1's
+    # first chain difference is not nef, so the A pair reports 4, and both
+    # product certificates fail at that difference.
+    f1, f2 = tsukioka_factors(2, 2, 2)
+    first = dataclasses.replace(f1.steps[0], next_class=(2,))
+    f1 = dataclasses.replace(f1, steps=(first, *f1.steps[1:]))
+    built = build_product_certificates(f1, f2)
+    assert built.cases == (1, 4, 5)
+    for verdict in (verify_HE_hypotheses(built.chain),
+                    verify_HEF_hypotheses(built.grid)):
+        assert verdict.failure.witness_pairing == -1
+
+
+# SHA-256 of the product certificates of the three tsukioka fixtures and of
+# all 162 T divisors of the 36 cells under each forced outer order.
+_PRODUCT_DIGESTS = {
+    1: "46e5360bb9078c409c407d79d971e419ad1aaf3a1e6f6e24e3296750da39f210",
+    2: "937b2e2afcbe32ecaecb900b2727a543ac6ee2546b89708f13604445e8db506b",
+}
+
+
+@pytest.mark.parametrize("outer", (1, 2))
+def test_product_certificates_match_pinned_digest(monkeypatch, outer):
+    force_outer(monkeypatch, outer)
+    built = [((n1, n2, d), build_product_certificates(*tsukioka_factors(n1, n2, d)))
+             for n1, n2, d in FIXTURES]
+    for r1 in range(sc.MAX_R1 + 1):
+        for r2 in range(sc.MAX_R2 + 1):
+            built += [((r1, r2, name), b) for name, b in
+                      sc.t_divisor_certificates(sc.build_scenario(r1, r2)).items()]
+    assert len(built) == 3 + 162
+    h = hashlib.sha256()
+    for label, b in built:
+        assert b.cases[0] == outer, label
+        h.update(json.dumps([label, b.cases, certificate_to_dict(b.chain),
+                             certificate_to_dict(b.grid)]).encode())
+    assert h.hexdigest() == _PRODUCT_DIGESTS[outer]
 
 
 def test_shipped_files_reproduce(shipped_cert_paths):
@@ -545,7 +580,7 @@ def _integral_certificates():
         for r2 in range(sc.MAX_R2 + 1):
             s = sc.build_scenario(r1, r2)
             for n1 in sc.t1_divisors(s):
-                built = build_product_certificates(*sc.factor_grids_for_t1(s, n1))
+                built = build_product_certificates(*sc.factor_chains_for_t1(s, n1))
                 yield (r1, r2, n1.name, "chain"), built.chain
                 yield (r1, r2, n1.name, "grid"), built.grid
 

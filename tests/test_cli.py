@@ -572,6 +572,29 @@ def test_no_verdict_reaches_the_simplex(tmp_path, plain_reports):
         assert t == p, (argv, err[-500:])
 
 
+def test_no_verdict_loads_the_cone_engine(tmp_path, plain_reports):
+    # Every verdict command, run in a fresh process, leaves moricone.cones
+    # unimported: the package does not re-export it and no verdict uses it.
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "from moricone import cli",
+        "codes = []",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        codes.append(cli.run(argv + ['--out', sys.argv[2]]))",
+        "print(json.dumps([codes, sorted(sys.modules)]))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(_VERDICT_ARGVS),
+         str(tmp_path / "doc.json")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout)
+    assert codes == [p[0] for p in plain_reports]
+    assert "moricone.cli" in modules
+    assert "moricone.cones" not in modules
+
+
 def test_no_verdict_dualises(tmp_path, plain_reports):
     # The del Pezzo lists are Weyl orbits, Nef(X) is read off them and the
     # relative cones are decided by their pairing matrix, so with cones.dual

@@ -403,6 +403,42 @@ def test_delta_certificate_fails_r2_2():
     assert cert["pairings"][cert["witness"]] <= 0
 
 
+def test_delta_certificate_is_strict():
+    # Cell (0, 2) without its curve on which -K is negative is weak Fano;
+    # e - f pairs 0 with both -K and -(K + boundary), and a zero pairing
+    # must fail the ampleness certificate.
+    s = sc.build_scenario(0, 2)
+    mk = sc.anticanonical(s)
+    kept = tuple(c for c in s.curves if dot(mk, c.vector) >= 0)
+    assert sc.classify(dataclasses.replace(s, curves=kept)).weak_fano
+    zero = sc.Curve("e-f", tuple(a - b for a, b in zip(_curve(s, "e").vector,
+                                                       _curve(s, "f").vector)))
+    s = dataclasses.replace(s, curves=kept + (zero,))
+    cert = sc.delta_certificate(s)
+    assert cert["pairings"]["e-f"] == 0
+    assert not cert["ok"]
+    assert cert["witness"] == "e-f"
+    res = sc.classify(s)
+    assert not res.weak_fano
+    assert res.witnesses["not_weak_fano"] == {"curve": "e-f", "pairing": 0}
+
+
+def test_not_weak_fano_witness_pairs_negatively():
+    # The witness is the first curve on which -K is negative, not the first
+    # on which it is 0.
+    seen = 0
+    for (r1, r2), res in sc.classify_all().items():
+        pairings = res.witnesses["anticanonical_pairings"]
+        negative = [n for n, v in pairings.items() if v < 0]
+        if negative:
+            seen += 1
+            witness = res.witnesses["not_weak_fano"]
+            assert witness == {"curve": negative[0],
+                               "pairing": pairings[negative[0]]}, (r1, r2)
+            assert witness["pairing"] < 0, (r1, r2)
+    assert seen == 28
+
+
 def test_classification_grid():
     table = sc.classify_all()
     assert len(table) == 36
