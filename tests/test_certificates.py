@@ -373,21 +373,44 @@ def _factor_pair(source):
     return sc.factor_chains_for_t1(CELL_3_8, n1)
 
 
-@pytest.mark.parametrize("cases", [(1, 3, 5), (2, 3, 5)],
+def _walk(first, counts):
+    """Factor positions from (0, 0), one factor moving per step: factor
+    ``first`` (0 or 1) takes all its counts[first] steps before the other
+    moves."""
+    pos, path = [0, 0], [(0, 0)]
+    for k in (first, 1 - first):
+        for _ in range(counts[k]):
+            pos[k] += 1
+            path.append(tuple(pos))
+    return path
+
+
+@pytest.mark.parametrize("cases", list(itertools.product((1, 2), (3, 4), (5, 6))),
                          ids=lambda t: "".join(map(str, t)))
 @pytest.mark.parametrize(
     "fixture", [*FIXTURES, *(n.name for n in sc.t1_divisors(CELL_3_8))],
     ids=lambda t: "_".join(map(str, t)) if isinstance(t, tuple) else f"T1_3_8_{t}")
 def test_every_alternative_builds_and_verifies(monkeypatch, fixture, cases):
     # The single-blowup chain moves factor 2 to A2 first under alternative
-    # 1, and factor 1 first under alternative 2.
+    # 1, and factor 1 first under alternative 2.  Along A, factor 2 moves
+    # first under alternative 5 and factor 1 under 6; along B, factor 2
+    # first under 3 and factor 1 under 4.  Only factor 1 moves along A and
+    # only factor 2 along B, so every inner alternative prescribes the grid
+    # that is built, and the builder reports 3 and 5.
     f1, f2 = _factor_pair(fixture)
     force_outer(monkeypatch, cases[0])
     built = build_product_certificates(f1, f2)
-    assert built.cases == cases
+    assert built.cases == (cases[0], 3, 5)
     x1, x2 = (0, 1) if cases[0] == 1 else (1, 0)
     assert built.chain.steps[1].child.id == \
         f"{f1.steps[x1].child.id}*{f2.steps[x2].child.id}"
+    a_path = _walk(int(cases[2] == 5), (len(f1.steps) - 1, 0))
+    b_path = _walk(int(cases[1] == 3), (0, len(f2.steps) - 2))
+    assert {at: cell.stratum.id for at, cell in built.grid.cells.items()} == {
+        (1 + i, 1 + j): f"{f1.steps[p1 + q1].child.id}*"
+                        f"{f2.steps[1 + p2 + q2].child.id}"
+        for i, (p1, p2) in enumerate(a_path)
+        for j, (q1, q2) in enumerate(b_path)}
     assert verify_HE_hypotheses(built.chain).ok
     assert verify_HEF_hypotheses(built.grid).ok
 
