@@ -3,6 +3,7 @@ determinism, and witness presence on refutation."""
 
 import ast
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -556,6 +557,22 @@ def _trapped_reports(tmp_path, trap):
 @pytest.fixture(scope="module")
 def plain_reports(tmp_path_factory):
     return _reports(_VERDICT_ARGVS, tmp_path_factory.mktemp("plain") / "doc")
+
+
+# SHA-256 of every ``_VERDICT_ARGVS`` report (exit code, stdout and ``--out``
+# document) with ``timing_seconds``, the ``--out`` path and the repository
+# root masked.  A faster verdict path must print the same bytes.
+_VERDICT_DIGEST = (
+    "1b67bd65a4e0bcc566d8d4bb6815d3eafb140e1731f282f724ad615993844652")
+
+
+def test_verdict_reports_match_pinned_digest(plain_reports):
+    root = str(_CERTS.parent)
+    h = hashlib.sha256()
+    for argv, report in zip(_VERDICT_ARGVS, plain_reports):
+        h.update(json.dumps([argv, report]).replace(root, "ROOT").encode())
+    assert len(plain_reports) == 48
+    assert h.hexdigest() == _VERDICT_DIGEST
 
 
 def test_no_verdict_reaches_the_simplex(tmp_path, plain_reports):
