@@ -52,17 +52,20 @@ def pair(L: DelPezzoLattice, u: Sequence, v: Sequence):
 def _orbit(r: int, seeds) -> tuple[tuple[int, ...], ...]:
     """The closure of ``seeds`` under the simple reflections of W(E_r),
     sorted: in E_i - E_(i+1), a swap of entries i and i + 1, and in
-    H - E_1 - E_2 - E_3 (r >= 3), the quadratic transformation below.  It is
-    finite only because :class:`DelPezzoLattice` rejects r > ``MAX_POINTS``
-    (W(E_9) is infinite)."""
+    H - E_1 - E_2 - E_3 (r >= 3), the quadratic transformation below.  A
+    reflection that fixes ``v`` (equal neighbours, or p = 0) is skipped.  It
+    is finite only because :class:`DelPezzoLattice` rejects r >
+    ``MAX_POINTS`` (W(E_9) is infinite)."""
     seen = set(seeds)
     todo = list(seen)
     while todo:
         v = todo.pop()
-        images = {v[:i] + (v[i + 1], v[i]) + v[i + 2:] for i in range(1, r)}
+        images = {v[:i] + (v[i + 1], v[i]) + v[i + 2:] for i in range(1, r)
+                  if v[i] != v[i + 1]}
         if r >= 3:
             p = v[0] + v[1] + v[2] + v[3]
-            images.add((v[0] + p, v[1] - p, v[2] - p, v[3] - p) + v[4:])
+            if p:
+                images.add((v[0] + p, v[1] - p, v[2] - p, v[3] - p) + v[4:])
         images -= seen
         seen |= images
         todo.extend(images)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 from typing import Iterable, Optional, Sequence, Union
 
 Number = Union[int, Fraction]
@@ -62,8 +63,13 @@ def primitive(v: Sequence[Number]) -> IntVector:
     """Scale ``v`` by a positive rational to primitive integer form.
 
     The zero vector maps to itself.  Direction is preserved (the scale factor
-    is always positive), so rays are never flipped.
+    is always positive), so rays are never flipped.  A vector of ``int``
+    entries is only divided by its gcd; any other entry (a ``bool``
+    included) goes through :class:`Fraction`.
     """
+    if {int}.issuperset(map(type, v)):
+        g = gcd(*v)
+        return tuple(x // g for x in v) if g > 1 else tuple(v)
     fr = [x if type(x) is int else Fraction(x) for x in v]
     den = lcm(*(x.denominator for x in fr))
     ints = [x.numerator * (den // x.denominator) for x in fr]
@@ -108,11 +114,11 @@ def generated(dim: int, vectors: Iterable[Sequence[Number]]) -> PolyCone:
     return PolyCone(dim, tuple(sorted(cleaned)))
 
 
-def _check_pairings_nonnegative(rows: Sequence[IntVector],
-                                rays: Sequence[IntVector]) -> None:
-    """Raise :class:`AssertionError`, naming the first ray that fails,
-    unless ``row . r >= 0`` for every row and every ray.  One big-integer
-    pairing per ray decides all its rows (Kronecker substitution).
+def first_negative(rows: Sequence[IntVector],
+                   rays: Sequence[IntVector]) -> Optional[int]:
+    """The index of the first ray ``r`` with ``row . r < 0`` for some row,
+    or None when every pairing is nonnegative.  One big-integer product per
+    ray decides all its rows (Kronecker substitution).
 
     Let ``bound = d * max|row entry| * max|ray entry|`` and
     ``W = bound.bit_length() + 1``, so every pairing has
@@ -124,20 +130,38 @@ def _check_pairings_nonnegative(rows: Sequence[IntVector],
     is written in base ``2**W`` with no carry or borrow, its ``i``-th digit
     is ``rows[i] . r + 2**(W-1)``, and that digit's top bit is set exactly
     when ``rows[i] . r >= 0``.  A ray passes iff ``packed & top == top``.
+
+    No rows means no pairing, hence None.  Raises
+    :class:`DimensionMismatchError` if a row or ray is not as long as the
+    first row, as :func:`dot` does.
     """
+    if not rows:
+        return None
     d = len(rows[0])
-    bound = (d * max(abs(x) for row in rows for x in row)
-             * max((abs(x) for r in rays for x in r), default=0))
+    lengths = set(map(len, chain(rows, rays)))
+    if lengths != {d}:
+        raise DimensionMismatchError(
+            f"pairings: lengths {sorted(lengths)}, expected {d}")
+    bound = (d * max(map(abs, chain.from_iterable(rows)))
+             * max(map(abs, chain.from_iterable(rays)), default=0))
     w = bound.bit_length() + 1
-    cols = [0] * d
-    ones = 0
-    for row in reversed(rows):
-        cols = [(c << w) + x for c, x in zip(cols, row)]
-        ones = (ones << w) + 1
-    top = ones << (w - 1)
-    for r in rays:
+    shifts = range(0, w * len(rows), w)
+    cols = [sum(map(lshift, col, shifts)) for col in zip(*rows)]
+    top = sum(map(lshift, repeat(1 << (w - 1)), shifts))
+    for k, r in enumerate(rays):
         if (sum(map(mul, r, cols)) + top) & top != top:
-            raise AssertionError(f"ray {r} pairs negatively with a row")
+            return k
+    return None
+
+
+def _check_pairings_nonnegative(rows: Sequence[IntVector],
+                                rays: Sequence[IntVector]) -> None:
+    """Raise :class:`AssertionError`, naming the first ray that fails,
+    unless ``row . r >= 0`` for every row and every ray
+    (:func:`first_negative`)."""
+    k = first_negative(rows, rays)
+    if k is not None:
+        raise AssertionError(f"ray {rays[k]} pairs negatively with a row")
 
 
 # ---------------------------------------------------------------------------

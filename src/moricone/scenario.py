@@ -36,7 +36,7 @@ the tests compare them with an independent enumeration and with ``cones.dual``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -57,6 +57,7 @@ from .exact import (
     check_infeasibility_certificate,
     constraint,
     dot,
+    first_negative,
     generated,
     primitive,
 )
@@ -91,11 +92,12 @@ class Scenario:
 
     def __post_init__(self):
         # Pairings with the catalog are unchecked dot products.
+        rho = self.rho
         for c in self.curves:
-            if len(c.vector) != self.rho:
+            if len(c.vector) != rho:
                 raise DimensionMismatchError(
                     f"curve {c.name!r} has {len(c.vector)} entries, the "
-                    f"Picard rank is {self.rho}")
+                    f"Picard rank is {rho}")
 
     @property
     def rho(self) -> int:
@@ -138,36 +140,25 @@ def build_scenario(r1: int, r2: int) -> Scenario:
         raise ValueError(f"first factor needs 0 <= r1 <= {MAX_R1}, got {r1}")
     if not (0 <= r2 <= MAX_R2):
         raise ValueError(f"second factor needs 0 <= r2 <= {MAX_R2}, got {r2}")
-    s = Scenario(r1=r1, r2=r2, curves=())
-    curves = [Curve(name, v) for name, v in _fibers(s).items()]
-    for cls in _lifted_classes(s, 1):
+    curves = [Curve(name, v) for name, v in _fibers(r1, r2).items()]
+    for cls, v in _lift(r1, r2, 1).items():
         name = ("l1" if cls[-1] else "e1") + _points(cls[1:-1])
-        curves.append(Curve(name, _lift(s, 1, cls), 1, cls))
+        curves.append(Curve(name, v, 1, cls))
     # (-1)-classes are named by position, H (r2 = 0) and H - E1 (r2 = 1) by
     # the points they pass through.  The lift puts the pairing row of cls on
     # the H2/E2 slots, so cls pairs with those slots to its self-intersection.
-    for k, cls in enumerate(_lifted_classes(s, 2), 1):
-        v = _lift(s, 2, cls)
-        minus_one = _idot(cls, v[s.idx_h2:s.idx_e]) == -1
+    h2, e = r1 + 1, r1 + r2 + 2
+    for k, (cls, v) in enumerate(_lift(r1, r2, 2).items(), 1):
+        minus_one = _idot(cls, v[h2:e]) == -1
         name = f"e2_{k}" if minus_one else "l2" + _points(cls[1:])
         curves.append(Curve(name, v, 2, cls))
-    return replace(s, curves=tuple(curves))
+    return Scenario(r1, r2, tuple(curves))
 
 
-def _fibers(s: Scenario) -> dict[str, tuple[int, ...]]:
+def _fibers(r1: int, r2: int) -> dict[str, tuple[int, ...]]:
     """The fibers e of E and f of F: the only curves with an F entry."""
-    zero = (0,) * s.idx_e
+    zero = (0,) * (r1 + r2 + 2)
     return {"e": zero + (-1, 1), "f": zero + (0, -1)}
-
-
-def _lifted_classes(s: Scenario, factor: int) -> tuple[tuple[int, ...], ...]:
-    """The classes lifted to factor curves: the generators of NE(dP_{r1+1})
-    other than E0, which splits as e + f, or the generators of NE(S2)."""
-    if factor == 2:
-        return delpezzo.ne_generators(s.lattice2)
-    e0 = (0,) * (s.r1 + 1) + (1,)
-    return tuple(c for c in delpezzo.ne_generators(delpezzo.build(s.r1 + 1))
-                 if c != e0)
 
 
 def _points(multiplicities: Sequence[int]) -> str:
@@ -177,19 +168,29 @@ def _points(multiplicities: Sequence[int]) -> str:
     return f"_{through}" if through else ""
 
 
-def _lift(s: Scenario, factor: int, cls: Sequence[int]) -> tuple[int, ...]:
-    """The intersection vector of the curve of X over a factor class.
+def _lift(r1: int, r2: int, factor: int
+          ) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The intersection vectors of the curves of X over one factor's
+    lifted classes in cell (r1, r2), keyed by class in generator order.
 
-    Factor 1: ``cls`` is a class of dP_{r1+1}, the first factor blown up
-    also at the point of the first center.  Its pairing row goes on the
-    H1/E1 slots and its multiplicity at that extra point (the row's last
-    entry) on E.  Factor 2: ``cls`` is a class of dP_{r2}.  Its pairing row
-    goes on the H2/E2 slots and its degree on E.
+    Factor 1: the classes are the generators of NE(dP_{r1+1}), the first
+    factor blown up also at the point of the first center, other than its
+    exceptional class E0, which splits as e + f.  A class's pairing row
+    goes on the H1/E1 slots and its multiplicity at that extra point (minus
+    its last entry) on E.  Factor 2: the classes are the generators of
+    NE(S2).  A class's pairing row goes on the H2/E2 slots and its degree
+    on E.
     """
-    row = delpezzo.pairing_row(cls)
+    pairing_row = delpezzo.pairing_row
     if factor == 1:
-        return row[:-1] + (0,) * (s.r2 + 1) + (row[-1], 0)
-    return (0,) * (s.r1 + 1) + row + (cls[0], 0)
+        e0 = (0,) * (r1 + 1) + (1,)
+        pad = (0,) * (r2 + 1)
+        return {c: pairing_row(c[:-1]) + pad + (-c[-1], 0)
+                for c in delpezzo.ne_generators(delpezzo.build(r1 + 1))
+                if c != e0}
+    pad = (0,) * (r1 + 1)
+    return {c: pad + pairing_row(c) + (c[0], 0)
+            for c in delpezzo.ne_generators(delpezzo.build(r2))}
 
 
 def anticanonical(s: Scenario) -> tuple[int, ...]:
@@ -226,14 +227,15 @@ def t1_divisors(s: Scenario) -> tuple[NamedVector, ...]:
 
 
 def t_divisors(s: Scenario) -> tuple[NamedVector, ...]:
+    h2, e, f = s.idx_h2, s.idx_e, s.idx_f
     out = []
     for n1 in t1_divisors(s):
         v = list(n1.vector)
-        v[s.idx_h2] += 1
-        v[s.idx_e] -= 1
+        v[h2] += 1
+        v[e] -= 1
         out.append(NamedVector(f"{n1.name}+H2-E", tuple(v)))
         v = list(v)
-        v[s.idx_f] -= 1
+        v[f] -= 1
         out.append(NamedVector(f"{n1.name}+H2-E-F", tuple(v)))
     return tuple(out)
 
@@ -241,9 +243,7 @@ def t_divisors(s: Scenario) -> tuple[NamedVector, ...]:
 def _embed_factor(s: Scenario, factor: int, cls: Sequence[int]) -> tuple:
     """``cls`` on one factor's H/E slots; entries past them are dropped."""
     start, n = (s.idx_h1, s.r1 + 1) if factor == 1 else (s.idx_h2, s.r2 + 1)
-    v = [0] * s.rho
-    v[start:start + n] = cls[:n]
-    return tuple(v)
+    return (0,) * start + tuple(cls[:n]) + (0,) * (s.rho - start - n)
 
 
 def factor_nef_vectors(s: Scenario, factor: int) -> tuple[NamedVector, ...]:
@@ -286,25 +286,33 @@ class TheoremVerdict:
 
 
 def _containment_explicit(ne_curves, claimed) -> Optional[dict]:
-    for nv in claimed:
-        for c in ne_curves:
-            val = dot(nv.vector, c.vector)
-            if val < 0:
-                return {"divisor": nv.name, "curve": c.name, "pairing": val}
-    return None
+    """The first negative pairing of a claim with a curve, claims in order
+    and each claim's curves in order, as a witness; None when every claim
+    is nef on the catalog.  :func:`first_negative` decides all the pairings
+    with one packed product per claim, so only the first failing claim's
+    pairings are taken one by one, to name its first negative curve."""
+    k = first_negative([c.vector for c in ne_curves],
+                       [nv.vector for nv in claimed])
+    if k is None:
+        return None
+    nv = claimed[k]
+    for c in ne_curves:
+        val = dot(nv.vector, c.vector)
+        if val < 0:
+            return {"divisor": nv.name, "curve": c.name, "pairing": val}
+    raise AssertionError(f"{nv.name} pairs nonnegatively with every curve")
 
 
 def _block_split(s: Scenario) -> tuple[Optional[dict], Optional[dict]]:
     """Check the catalog against the rule that builds it: e and f have
     exactly their listed vectors (:func:`_fibers`), and every factor-k curve
-    is the :func:`_lift` of a distinct class of :func:`_lifted_classes`.
+    is the :func:`_lift` of a distinct class.
 
     Returns ``(lift_witness, unlifted_witness)``: the first curve that breaks
     the rule, and a fiber or factor class that no curve carries.
     """
-    todo = {0: _fibers(s)}
-    for k in (1, 2):
-        todo[k] = {cls: _lift(s, k, cls) for cls in _lifted_classes(s, k)}
+    r1, r2 = s.r1, s.r2
+    todo = {0: _fibers(r1, r2), 1: _lift(r1, r2, 1), 2: _lift(r1, r2, 2)}
     for c in s.curves:
         expected = todo.get(c.factor, {}).pop(
             c.factor_class if c.factor else c.name, None)
@@ -378,13 +386,14 @@ def _equality(s: Scenario, first: Sequence[NamedVector],
     such ray is a primitive projected claim; the first missing one, in
     sorted order, is the witness.  No LP runs.
     """
+    h2, e = s.idx_h2, s.idx_e
     projected = set()
     for nv in first:
         v = nv.vector
-        if v[s.idx_h2] + v[s.idx_e] or any(v[s.idx_h2 + 1:s.idx_e]):
+        if v[h2] + v[e] or any(v[h2 + 1:e]):
             return EQ_UNEQUAL, {"divisor": nv.name,
                                 "reason": "outside the first block"}
-        projected.add(primitive(v[:s.idx_h2] + v[s.idx_e:]))
+        projected.add(primitive(v[:h2] + v[e:]))
     if containment:
         bad = next(nv for nv in first if nv.name == containment["divisor"])
         return EQ_UNEQUAL, {"ray": primitive(bad.vector),
@@ -394,7 +403,7 @@ def _equality(s: Scenario, first: Sequence[NamedVector],
     if not missing:
         return EQ_EQUAL, None
     z = missing[0]
-    ray = z[:s.idx_h2] + (-z[s.idx_h2],) + (0,) * s.r2 + z[s.idx_h2:]
+    ray = z[:h2] + (-z[h2],) + (0,) * s.r2 + z[h2:]
     return EQ_UNEQUAL, {"ray": ray, "only_in": "dual of the curve cone"}
 
 

@@ -216,6 +216,18 @@ def t_certificates_agree_with_membership(s):
     return results
 
 
+def containment_by_pairs(curves, claimed):
+    """The first negative pairing of a claim with a curve, claims outer and
+    curves inner, as a witness; None when there is none.  One sum per
+    (claim, curve) pair, with no packing."""
+    for nv in claimed:
+        for c in curves:
+            val = sum(a * b for a, b in zip(nv.vector, c.vector, strict=True))
+            if val < 0:
+                return {"divisor": nv.name, "curve": c.name, "pairing": val}
+    return None
+
+
 def relaxed_refutation_system():
     """``scenario.refutation_system`` with its strict rows made non-strict:
     the boundary point it then admits shows that strictness is what makes

@@ -62,6 +62,27 @@ def test_primitive_handles_fractions():
     assert primitive((-4, -6)) == (-2, -3)
 
 
+_ENTRY = st.one_of(
+    st.integers(-3, 3), st.booleans(),
+    st.integers(-2 ** 100, 2 ** 100),
+    st.builds(Fraction, st.integers(-2 ** 100, 2 ** 100),
+              st.integers(1, 2 ** 40)))
+
+
+@given(st.lists(_ENTRY, max_size=6))
+@example([])
+@example([0, 0, 0])
+@example([True, False, True])
+@example([2 ** 100, -(2 ** 101)])
+@example([Fraction(2 ** 100, 3), 4, True])
+def test_primitive_matches_oracle(v):
+    # The int path divides by the gcd alone; bools and fractions go through
+    # Fraction.  Both must agree with the oracle and give plain ints.
+    got = primitive(v)
+    assert got == _primitive(v)
+    assert all(type(x) is int for x in got)
+
+
 def test_lineality_detected_with_witness():
     with pytest.raises(LinealityError) as ei:
         cone_from_rays(1, [(1,), (-1,)])
@@ -636,6 +657,58 @@ def test_packed_guard_digit_boundaries(broken):
         pairings = [sum(map(mul, row, ray)) for row in edited]
         assert pairings.count(3 * big) == 3 and min(pairings) == last
         assert _packed_guard_passes(edited, [ray]) is ok
+
+
+@st.composite
+def sign_tables(draw):
+    """Rows and rays of one length with entries up to 2**70 in size, zero
+    vectors among them, and one pairing pinned to -1, 0 or +1 by solving
+    for a ray entry when ``target`` is set."""
+    d = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-2, 2),
+                      st.integers(-2 ** 70, 2 ** 70))
+    vec = st.one_of(st.lists(entry, min_size=d, max_size=d),
+                    st.just([0] * d))
+    rows = draw(st.lists(vec, min_size=1, max_size=5))
+    rays = draw(st.lists(vec, min_size=1, max_size=5))
+    target = draw(st.sampled_from([None, -1, 0, 1]))
+    if target is not None:
+        i = draw(st.integers(0, len(rows) - 1))
+        k = draw(st.integers(0, len(rays) - 1))
+        rows[i][0] = 1
+        rays[k][0] = target - sum(map(mul, rows[i][1:], rays[k][1:]))
+    return [tuple(v) for v in rows], [tuple(v) for v in rays]
+
+
+@given(sign_tables())
+@example(([(0,)], [(0,)]))
+@example(([(1, 0)], [(0, 1), (-1, 0)]))
+@example(([(0, 0), (1, 1)], [(1, -2), (0, 0)]))
+@example(([(2 ** 70, -(2 ** 70))], [(1, 1), (2 ** 70, 2 ** 70 + 1)]))
+def test_first_negative_matches_double_loop(case):
+    rows, rays = case
+    expected = next((k for k, r in enumerate(rays)
+                     if any(sum(map(mul, row, r)) < 0 for row in rows)), None)
+    assert exact.first_negative(rows, rays) == expected
+
+
+def test_first_negative_without_rows_or_rays():
+    assert exact.first_negative([(1, -1)], []) is None
+    assert exact.first_negative([], [(1, -1)]) is None
+
+
+@pytest.mark.parametrize("rows,rays", [
+    # A short second row used to shorten every column: the first row's
+    # pairing -1 with the ray was lost.
+    ([(0, 0, 1), (1, 0)], [(0, 0, -1)]),
+    # A long ray used to lose its tail, here the entry -5.
+    ([(1, 0), (0, 1)], [(1, 1, -5)]),
+])
+def test_packed_guard_rejects_length_mismatch(rows, rays):
+    with pytest.raises(DimensionMismatchError, match="lengths"):
+        exact.first_negative(rows, rays)
+    with pytest.raises(DimensionMismatchError, match="lengths"):
+        exact._check_pairings_nonnegative(rows, rays)
 
 
 @st.composite

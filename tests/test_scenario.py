@@ -16,7 +16,8 @@ from moricone.cones import (DimensionMismatchError,
                             dual, lp_feasible)
 from moricone.exact import primitive
 
-from .oracles import (dual_by_facet_enumeration, reference_catalog,
+from .oracles import (containment_by_pairs, dual_by_facet_enumeration,
+                      reference_catalog,
                       reference_t1, relaxed_refutation_system,
                       t_certificates_agree_with_membership)
 
@@ -240,6 +241,66 @@ def test_theorem_non_nef_claim_is_outside_p(monkeypatch):
     assert verdict.equality_status == sc.EQ_UNEQUAL
     assert verdict.equality_witness == {"ray": primitive(bent.vector),
                                         "only_in": "claimed nef cone"}
+
+
+_CELLS = [(r1, r2) for r1 in range(sc.MAX_R1 + 1)
+          for r2 in range(sc.MAX_R2 + 1)]
+
+
+def _non_nef_t(s, k):
+    """The T divisors with the k-th one moved by +F, which pairs -1 with
+    f."""
+    full = sc.t_divisors(s)
+    v = list(full[k].vector)
+    v[s.idx_f] += 1
+    return full[:k] + (dataclasses.replace(full[k], vector=tuple(v)),) \
+        + full[k + 1:]
+
+
+@pytest.mark.parametrize("r1,r2", _CELLS)
+def test_containment_matches_pairwise_oracle(r1, r2):
+    # The packed check names the witness the per-pair loop names: on the
+    # cell, with each T divisor made non-nef in turn, and with the fibers
+    # and the first curve over each factor bent on the E or F slot.
+    s = sc.build_scenario(r1, r2)
+    first = sc.factor_nef_vectors(s, 1)
+    cases = [(s, first + sc.t_divisors(s))]
+    cases += [(s, first + _non_nef_t(s, k))
+              for k in range(len(sc.t_divisors(s)))]
+    bent = ["e", "f"] + [next(c.name for c in s.curves if c.factor == k)
+                         for k in (1, 2)]
+    cases += [(_bent(s, name, slot), first + sc.t_divisors(s))
+              for name in bent for slot in (s.idx_e, s.idx_f)]
+    witnesses = 0
+    for case, claimed in cases:
+        got = sc._containment_explicit(case.curves, claimed)
+        assert got == containment_by_pairs(case.curves, claimed)
+        witnesses += got is not None
+    assert witnesses > len(sc.t_divisors(s))
+
+
+def test_theorem_pairs_no_claim_one_by_one(monkeypatch):
+    # Nefness of the claims is decided by packed products: no cell pairs a
+    # claim with a curve by dot, and a non-nef claim costs at most one dot
+    # per curve, to name its first negative curve.
+    calls = []
+    real = sc.dot
+
+    def counted(u, v):
+        calls.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(sc, "dot", counted)
+    for r1, r2 in _CELLS:
+        assert sc.verify_theorem(sc.build_scenario(r1, r2)).ok
+    assert calls == []
+    s = sc.build_scenario(2, 3)
+    bent = _non_nef_t(s, 0)
+    monkeypatch.setattr(sc, "t_divisors", lambda s: bent)
+    verdict = sc.verify_theorem(s)
+    assert verdict.containment_witness == {"divisor": bent[0].name,
+                                           "curve": "f", "pairing": -1}
+    assert 0 < len(calls) <= len(s.curves)
 
 
 def test_theorem_redundant_claim_is_still_equal(monkeypatch):
