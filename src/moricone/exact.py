@@ -1,8 +1,12 @@
 """The exact core every verdict rests on: exact vectors (ints and fractions,
 never floats), cones as sorted primitive rays, fraction-free elimination, the
-packed nonnegative-pairing check and the re-check of Farkas certificates.  It
-solves no LP and dualises no cone; :mod:`moricone.cones`, the engine built on
-it, does.
+packed sign-table kernel and the re-check of Farkas certificates.  It solves
+no LP and dualises no cone; :mod:`moricone.cones`, the engine built on it,
+does.
+
+Every "pairs >= 0" table on the verdict path goes through one kernel,
+:func:`first_negative`: it decides all the rows of a ray with one
+big-integer product, exactly.
 """
 
 from __future__ import annotations

@@ -350,7 +350,8 @@ def verify_theorem(s: Scenario) -> TheoremVerdict:
     The claim splits the same way: the second-factor pullbacks are
     Nef(S2) x 0 and pair with every curve by the surface pairing or by 0.
     The first-factor pullbacks and T have A2' = 0, their nefness is checked
-    by explicit pairings, and their projections generate Q.  P = Q is then
+    by :func:`_containment_explicit` (every pairing with every curve, one
+    packed product per claim), and their projections generate Q.  P = Q is then
     decided on ray sets alone (:func:`_equality`).  As the pullbacks come
     from Nef(dP_{r1}), that checks that the face x_E = 0 of Nef(dP_{r1+1})
     is Nef(dP_{r1}) pulled back and that no ray has x_E <= -2.
