@@ -247,12 +247,14 @@ _CELLS = [(r1, r2) for r1 in range(sc.MAX_R1 + 1)
           for r2 in range(sc.MAX_R2 + 1)]
 
 
-def _non_nef_t(s, k):
-    """The T divisors with the k-th one moved by +F, which pairs -1 with
-    f."""
+def _non_nef_t(s, k, e=0):
+    """The T divisors with the k-th one's F coefficient set to 1, so that
+    it pairs -1 with f, and its E coefficient raised by ``e``; e = 3 makes
+    it pair -1 with e as well."""
     full = sc.t_divisors(s)
     v = list(full[k].vector)
-    v[s.idx_f] += 1
+    v[s.idx_e] += e
+    v[s.idx_f] = 1
     return full[:k] + (dataclasses.replace(full[k], vector=tuple(v)),) \
         + full[k + 1:]
 
@@ -260,23 +262,27 @@ def _non_nef_t(s, k):
 @pytest.mark.parametrize("r1,r2", _CELLS)
 def test_containment_matches_pairwise_oracle(r1, r2):
     # The packed check names the witness the per-pair loop names: on the
-    # cell, with each T divisor made non-nef in turn, and with the fibers
-    # and the first curve over each factor bent on the E or F slot.
+    # cell, with each T divisor made non-nef in turn (negative on f, or on
+    # both e and f, where the first curve in order must be named), and with
+    # the fibers and the first curve over each factor bent on the E or F
+    # slot.
     s = sc.build_scenario(r1, r2)
     first = sc.factor_nef_vectors(s, 1)
     cases = [(s, first + sc.t_divisors(s))]
-    cases += [(s, first + _non_nef_t(s, k))
-              for k in range(len(sc.t_divisors(s)))]
+    cases += [(s, first + _non_nef_t(s, k, e))
+              for k in range(len(sc.t_divisors(s))) for e in (0, 3)]
     bent = ["e", "f"] + [next(c.name for c in s.curves if c.factor == k)
                          for k in (1, 2)]
     cases += [(_bent(s, name, slot), first + sc.t_divisors(s))
               for name in bent for slot in (s.idx_e, s.idx_f)]
-    witnesses = 0
+    witnesses = []
     for case, claimed in cases:
         got = sc._containment_explicit(case.curves, claimed)
         assert got == containment_by_pairs(case.curves, claimed)
-        witnesses += got is not None
-    assert witnesses > len(sc.t_divisors(s))
+        witnesses.append(got and got["curve"])
+    t = len(sc.t_divisors(s))
+    assert witnesses[1:1 + 2 * t] == ["f", "e"] * t
+    assert any(witnesses[1 + 2 * t:])
 
 
 def test_theorem_pairs_no_claim_one_by_one(monkeypatch):
