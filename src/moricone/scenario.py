@@ -164,7 +164,7 @@ def _fibers(r1: int, r2: int) -> dict[str, tuple[int, ...]]:
 def _points(multiplicities: Sequence[int]) -> str:
     """Name suffix listing the points j whose E_j enters a class: "_12" for
     H - E_1 - E_2, "_1" for E_1, "" for H."""
-    through = "".join(str(j) for j, m in enumerate(multiplicities, 1) if m)
+    through = "".join([str(j) for j, m in enumerate(multiplicities, 1) if m])
     return f"_{through}" if through else ""
 
 
@@ -219,11 +219,13 @@ def t1_divisors(s: Scenario) -> tuple[NamedVector, ...]:
     for ray in delpezzo.nef_cone(delpezzo.build(s.r1 + 1)).rays:
         if ray[-1] == -1:
             points = [j for j, m in enumerate(ray[1:-1], 1) if m]
-            name = ("H1" if ray[0] == 1 else f"{ray[0]}H1") + "".join(
-                f"-E1_{j}" for j in points)
-            keyed.append(((ray[0], len(points), points),
-                          NamedVector(name, _embed_factor(s, 1, ray))))
-    return tuple(nv for _, nv in sorted(keyed, key=lambda kv: kv[0]))
+            keyed.append((ray[0], len(points), points, ray))
+    keyed.sort()
+    return tuple(
+        NamedVector(("H1" if d == 1 else f"{d}H1")
+                    + "".join([f"-E1_{j}" for j in points]),
+                    _embed_factor(s, 1, ray))
+        for d, _, points, ray in keyed)
 
 
 def t_divisors(s: Scenario) -> tuple[NamedVector, ...]:
