@@ -18,7 +18,8 @@ bound.
 
 Standard library only.  The exit code is 1 when any run reports
 ``correct: false``, 2 when a run cannot complete, and 0 otherwise.  The
-exported copy is removed on exit, and every run has ended by then.
+exported copy is removed on exit, also on Ctrl-C or SIGTERM, and every run
+has ended by then.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -45,15 +48,24 @@ def export(base: str, into: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
-    """The last stdout line of one ``perfbench/run.py`` run, as JSON."""
-    proc = subprocess.run(
+    """The last stdout line of one ``perfbench/run.py`` run, as JSON.  The
+    run gets its own process group, so an interrupted run is killed with
+    the batches it has started."""
+    proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--seed", str(seed)],
-        cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    lines = stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"perfbench/run.py in {tree} exited with code "
-                           f"{proc.returncode}: {proc.stderr[-500:]}")
+                           f"{proc.returncode}: {stderr[-500:]}")
     return json.loads(lines[-1])
 
 
@@ -99,6 +111,9 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD")
     args = parser.parse_args()
+    # On SIGTERM, unwind as on Ctrl-C: the running run is killed and the
+    # exported copy is removed.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"base": [], "head": []}
