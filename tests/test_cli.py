@@ -575,6 +575,50 @@ def test_verdict_reports_match_pinned_digest(plain_reports):
     assert h.hexdigest() == _VERDICT_DIGEST
 
 
+def _text_argv(argv):
+    """``argv`` with ``--json`` and ``--format json`` dropped."""
+    argv = [a for a in argv if a != "--json"]
+    if "--format" in argv:
+        i = argv.index("--format")
+        del argv[i:i + 2]
+    return argv
+
+
+# SHA-256 of the reports the 48 pinned ones leave out: every (-1)-class
+# listing below r = 8, the other two tsukioka examples, ``dp scenario
+# --classify`` on the 28 cells with r2 <= 6, one refuted ``cert verify``
+# (whose REFUTED line formats exact values), and the text report of every
+# ``_VERDICT_ARGVS`` entry.  Masked as ``_VERDICT_DIGEST`` is, and the
+# refuted certificate's directory too.
+_MORE_DIGEST = (
+    "5f0256f6a0e40d2816ec386935d8888d477f619f2969e39b77a8114090c93df4")
+
+
+def test_more_reports_match_pinned_digest(tmp_path):
+    tampered = certificate_to_dict(
+        build_product_certificates(*tsukioka_factors(2, 2, 2)).grid)
+    tampered["divisor"] = [0, -1]
+    cert = tmp_path / "tampered.json"
+    cert.write_text(json.dumps(tampered), encoding="utf-8")
+    argvs = ([["dp", "minus-one", "--r", str(r)] for r in range(8)]
+             + [["cert", "example-tsukioka", "--n1", n1, "--n2", n2, "--d", d]
+                for n1, n2, d in (("3", "2", "2"), ("2", "3", "3"))]
+             + [["dp", "scenario", "--r1", str(r1), "--r2", str(r2),
+                 "--classify"] for r1 in range(4) for r2 in range(7)]
+             + [["cert", "verify", str(cert)]])
+    reports = _reports(argvs, tmp_path / "doc")
+    assert reports[-1][0] == EXIT_REFUTED
+    texts = [_text_argv(argv) for argv in _VERDICT_ARGVS]
+    reports += [list(capture(argv)) for argv in texts]
+    root = str(_CERTS.parent)
+    h = hashlib.sha256()
+    for argv, report in zip(argvs + texts, reports):
+        h.update(json.dumps([argv, report]).replace(str(tmp_path), "TMP")
+                 .replace(root, "ROOT").encode())
+    assert len(reports) == 87
+    assert h.hexdigest() == _MORE_DIGEST
+
+
 def test_no_verdict_reaches_the_simplex(tmp_path, plain_reports):
     # A fresh process with the simplex replaced by a trap must print every
     # verdict exactly as the real engine does here.
