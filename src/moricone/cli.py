@@ -19,6 +19,7 @@ import time
 import traceback
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, blowup, delpezzo
 from . import scenario as sc
@@ -46,45 +47,75 @@ EXIT_INTERNAL = 3
 # JSON plumbing
 # ---------------------------------------------------------------------------
 
-_AS_IS = frozenset({int, bool, str, type(None)})
+_INTS = frozenset({int})
 
 
-def jsonable(x):
-    """Exact JSON form: fractions as 'p/q' strings (integers stay integers).
+def _encode(x, pad=None) -> str:
+    """The JSON text of a report value, in one walk: with ``pad`` a newline
+    and the current indent, the text ``json.dumps(..., indent=2)`` gives,
+    else the one-line text ``json.dumps`` gives.
 
-    One walk, dispatched on the exact type: a dataclass becomes the dict of
-    its fields, and anything else, a float above all, raises
-    :class:`TypeError`."""
+    Dispatched on the exact type: ``int``, ``bool``, None and ``str`` are
+    leaves, a :class:`~fractions.Fraction` is an integer or a ``"p/q"``
+    string, a tuple or list an array, a dict an object with ``str`` keys and
+    a dataclass the object of its fields.  Anything else, a float above all,
+    raises :class:`TypeError`."""
     kind = type(x)
-    if kind in _AS_IS:
-        return x
-    if kind is Fraction:
-        return _num_out(x)
-    if kind is dict:
-        return {str(k): jsonable(v) for k, v in x.items()}
+    if kind is str:
+        return _quote(x)
+    if kind is int:
+        return int.__repr__(x)
+    inner = None if pad is None else pad + "  "
     if kind is tuple or kind is list:
-        return [jsonable(v) for v in x]
-    if is_dataclass(kind):
-        return {f.name: jsonable(getattr(x, f.name)) for f in fields(kind)}
-    if isinstance(x, float):
-        raise TypeError("refusing to serialize a float in an exact report")
-    raise TypeError(f"cannot serialize {kind.__name__}")
+        if not x:
+            return "[]"
+        if set(map(type, x)) == _INTS:
+            parts = map(int.__repr__, x)
+        else:
+            parts = [_encode(v, inner) for v in x]
+        ends = "[]"
+    else:
+        if kind is dict:
+            items = x.items()
+        elif kind is Fraction:
+            x = _num_out(x)
+            return int.__repr__(x) if type(x) is int else _quote(x)
+        elif kind is bool:
+            return "true" if x else "false"
+        elif x is None:
+            return "null"
+        elif is_dataclass(kind):
+            items = [(f.name, getattr(x, f.name)) for f in fields(kind)]
+        elif isinstance(x, float):
+            raise TypeError("refusing to serialize a float in an exact report")
+        else:
+            raise TypeError(f"cannot serialize {kind.__name__}")
+        if not items:
+            return "{}"
+        parts = [_quote(str(k)) + ": " + _encode(v, inner) for k, v in items]
+        ends = "{}"
+    if pad is None:
+        return ends[0] + ", ".join(parts) + ends[1]
+    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
 
 
 def _document(argv, extra: dict, verdicts: dict, witnesses: dict,
-              t0: float) -> dict:
-    doc = {"version": __version__, "command": list(argv)}
-    doc.update(jsonable(extra))
-    doc["verdicts"] = jsonable(verdicts)
-    doc["witnesses"] = jsonable(witnesses)
-    doc["timing_seconds"] = round(time.monotonic() - t0, 3)
-    return doc
+              t0: float) -> str:
+    """The report document's indented JSON text, with ``timing_seconds``
+    taken after the walk and written last."""
+    text = _encode({"version": __version__, "command": list(argv), **extra,
+                    "verdicts": verdicts, "witnesses": witnesses}, "\n")
+    seconds = round(time.monotonic() - t0, 3)
+    return (text[:-2] + ',\n  "timing_seconds": ' + float.__repr__(seconds)
+            + "\n}")
 
 
 def _fmt(x) -> str:
-    """Deterministic human-readable form of an exact value."""
-    v = jsonable(x)
-    return json.dumps(v) if not isinstance(v, str) else v
+    """Deterministic human-readable form of an exact value: a string or a
+    fraction bare, anything else as one-line JSON."""
+    if type(x) is Fraction:
+        x = _num_out(x)
+    return x if type(x) is str else _encode(x)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +434,16 @@ def run(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code, lines, extra, verdicts, witnesses = args.handler(args)
-        doc = _document(argv, extra, verdicts, witnesses, t0)
-        as_json = getattr(args, "json", False) \
-            or getattr(args, "format", None) == "json"
-        out = getattr(args, "out", None)
-        # One encoding feeds stdout and --out; a plain text report needs none.
-        text = json.dumps(doc, indent=2) if as_json or out else None
-        if as_json:
+        # Every report is encoded, so a float in it exits 3 before any
+        # output; the one text feeds stdout and --out.
+        text = _document(argv, extra, verdicts, witnesses, t0)
+        if getattr(args, "json", False) \
+                or getattr(args, "format", None) == "json":
             print(text)
         else:
             for line in lines:
                 print(line)
+        out = getattr(args, "out", None)
         if out:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

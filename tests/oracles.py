@@ -239,9 +239,10 @@ def relaxed_refutation_system():
 
 
 def jsonable_by_asdict(x):
-    """The report walk as ``cli.jsonable`` wrote it before its single-pass
-    form: ``dataclasses.asdict`` deep-copies a dataclass first, and the copy
-    is then walked by ``isinstance`` tests."""
+    """A report value in the plain form ``json.dumps`` takes, as the CLI
+    built it before it wrote reports in one walk: ``dataclasses.asdict``
+    deep-copies a dataclass first, and the copy is then walked by
+    ``isinstance`` tests."""
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:

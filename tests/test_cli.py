@@ -13,6 +13,7 @@ import subprocess
 import tempfile
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from moricone import scenario as sc
 from moricone.certificates import (CheckRecord, build_product_certificates,
                                    certificate_to_dict, tsukioka_factors)
 from moricone.cli import (EXIT_ERROR, EXIT_INTERNAL, EXIT_REFUTED,
-                          EXIT_VERIFIED, build_parser, jsonable, run)
+                          EXIT_VERIFIED, _encode, _fmt, build_parser, run)
 
 from .oracles import jsonable_by_asdict
 from .test_certificates import three_step_chain
@@ -879,17 +880,22 @@ _NESTED_FLOATS = {
 }
 
 
-def test_jsonable_rejects_floats():
+def test_encode_rejects_floats():
     for where, report in _NESTED_FLOATS.items():
-        with pytest.raises(TypeError, match="float"):
-            jsonable(report)
-            pytest.fail(f"a float as a {where} was serialized")
+        for pad in (None, "\n"):
+            with pytest.raises(TypeError, match="refusing to serialize a float"):
+                _encode(report, pad)
+                pytest.fail(f"a float as a {where} was serialized")
+        with pytest.raises(TypeError, match="refusing to serialize a float"):
+            _fmt(report)
 
 
 @pytest.mark.parametrize("probe", _NESTED_FLOATS.values(),
                          ids=_NESTED_FLOATS.keys())
 def test_float_in_a_classify_witness_is_an_internal_error(monkeypatch, capsys,
-                                                          probe):
+                                                          tmp_path, probe):
+    # Every report is encoded, so the float exits 3 in text mode too, before
+    # anything reaches stdout or --out.
     real = sc.classify
 
     def with_float(s):
@@ -898,30 +904,68 @@ def test_float_in_a_classify_witness_is_an_internal_error(monkeypatch, capsys,
             res, witnesses={**res.witnesses, "probe": probe})
 
     monkeypatch.setattr(sc, "classify", with_float)
-    code = run(["dp", "scenario", "--r1", "0", "--r2", "2", "--classify"])
-    assert code == EXIT_INTERNAL
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "refusing to serialize a float" in captured.err
+    out = tmp_path / "doc.json"
+    argv = ["dp", "scenario", "--r1", "0", "--r2", "2", "--classify"]
+    for mode in ([], ["--out", str(out)], ["--json"]):
+        code = run(argv + mode)
+        assert code == EXIT_INTERNAL, mode
+        captured = capsys.readouterr()
+        assert captured.out == "", mode
+        assert "refusing to serialize a float" in captured.err, mode
+        assert not out.exists(), mode
 
 
-def test_jsonable_matches_the_asdict_walk():
-    # The one-pass walk against the old deep-copying walk, on every part of
-    # every verdict report, compared as encoded text so True and 1 differ.
+def test_encode_matches_the_asdict_walk():
+    # The one walk against the old deep-copying walk and json's own encoders,
+    # on every part of every verdict report, in both forms.
     parser = build_parser()
     for argv in _VERDICT_ARGVS:
         args = parser.parse_args(argv)
         _, _, extra, verdicts, witnesses = args.handler(args)
         for part in (extra, verdicts, witnesses):
-            assert (json.dumps(jsonable(part))
-                    == json.dumps(jsonable_by_asdict(part))), argv
+            plain = jsonable_by_asdict(part)
+            assert _encode(part) == json.dumps(plain), argv
+            assert _encode(part, "\n") == json.dumps(plain, indent=2), argv
 
 
-def test_jsonable_fraction_forms():
-    from fractions import Fraction
-    assert jsonable(Fraction(3, 2)) == "3/2"
-    assert jsonable(Fraction(4, 2)) == 2
-    assert jsonable({"x": (Fraction(1, 3),)}) == {"x": ["1/3"]}
+def test_encode_fraction_forms():
+    assert _encode(Fraction(3, 2)) == '"3/2"'
+    assert _encode(Fraction(4, 2)) == "2"
+    assert _encode({"x": (Fraction(1, 3),)}) == '{"x": ["1/3"]}'
+    assert _encode({"x": (Fraction(1, 3),)}, "\n") == (
+        '{\n  "x": [\n    "1/3"\n  ]\n}')
+    assert (_fmt(Fraction(3, 2)), _fmt(Fraction(4, 2))) == ("3/2", "2")
+
+
+_CHARS = st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                   st.characters())
+_KEYS = st.one_of(st.text(_CHARS, max_size=4),
+                  st.integers(-2**100, 2**100))
+_LEAVES = st.one_of(
+    st.integers(-2**100, 2**100), st.booleans(), st.none(),
+    st.fractions(), st.integers(-2**100, 2**100).map(Fraction),
+    st.text(_CHARS, max_size=8))
+
+
+def _containers(children):
+    # Two keys with one str form cannot both appear in one JSON object.
+    return st.one_of(
+        st.lists(children, max_size=4), st.tuples(children, children),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4).filter(
+            lambda d: len(set(map(str, d))) == len(d)),
+        st.builds(CheckRecord, location=st.text(_CHARS, max_size=4),
+                  value=children, passed=st.booleans(),
+                  witness_curve=children, witness_pairing=children))
+
+
+@given(st.recursive(_LEAVES, _containers, max_leaves=30))
+def test_encode_matches_json_dumps(x):
+    # Empty containers come up at every depth: lists, tuples and dicts may
+    # be empty wherever they are drawn.
+    plain = jsonable_by_asdict(x)
+    assert _encode(x) == json.dumps(plain)
+    assert _encode(x, "\n") == json.dumps(plain, indent=2)
 
 
 def _child_env():
