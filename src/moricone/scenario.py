@@ -476,12 +476,14 @@ def delta_certificate(s: Scenario) -> dict:
     """Pairings of -(K + boundary) with every generating curve; all must be
     strictly positive for the ampleness certificate to pass.  The boundary
     has denominator 3, so each pairing is taken in integers with
-    3 (-K - boundary) and reported divided by 3."""
-    thrice = tuple(3 * a - int(3 * d)
+    3 (-K - boundary) and reported divided by 3, one shared
+    :class:`~fractions.Fraction` per distinct value."""
+    thrice = tuple(3 * a - 3 * d.numerator // d.denominator
                    for a, d in zip(anticanonical(s), delta_divisor(s)))
-    pairings = {c.name: Fraction(_idot(thrice, c.vector), 3)
-                for c in s.curves}
-    witness = next((n for n, v in pairings.items() if v <= 0), None)
+    values = {c.name: _idot(thrice, c.vector) for c in s.curves}
+    thirds = {n: Fraction(n, 3) for n in set(values.values())}
+    pairings = {name: thirds[n] for name, n in values.items()}
+    witness = next((name for name, n in values.items() if n <= 0), None)
     return {"ok": witness is None, "witness": witness, "pairings": pairings}
 
 
