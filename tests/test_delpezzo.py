@@ -79,6 +79,14 @@ def test_minus_one_permutation_closed(r):
             assert (c[0],) + perm in classes
 
 
+def test_orbit_closure_does_not_depend_on_the_seed():
+    # The shipped seeds close under reflections that raise the degree alone;
+    # from the top class the orbit needs the lowering ones (p < 0) too.
+    for r in range(3, 9):
+        classes = minus_one_classes(build(r))
+        assert delpezzo._orbit(r, [max(classes)]) == classes, r
+
+
 def test_ne_generators_by_rank():
     assert ne_generators(build(0)) == ((1,),)
     assert ne_generators(build(1)) == ((0, 1), (1, -1))
