@@ -7,6 +7,11 @@ verified, 1 = a verification was refuted (the report carries a witness),
 2 = usage or input error (an unreadable input file or an unwritable ``--out``
 file included), 3 = internal error (a failed internal check; the
 traceback goes to stderr and no verdict is printed).
+
+Each report is written in one walk over the handler's exact values, in the
+bytes ``json.dumps(..., indent=2)`` gives.  Every report is encoded, text
+mode included, so a float in one is an internal error before anything is
+printed or written.
 """
 
 from __future__ import annotations
