@@ -111,6 +111,7 @@ def _document(argv, extra: dict, verdicts: dict, witnesses: dict,
     text = _encode({"version": __version__, "command": list(argv), **extra,
                     "verdicts": verdicts, "witnesses": witnesses}, "\n")
     seconds = round(time.monotonic() - t0, 3)
+    # The object's text ends with its closing "\n}".
     return (text[:-2] + ',\n  "timing_seconds": ' + float.__repr__(seconds)
             + "\n}")
 

@@ -881,12 +881,13 @@ _NESTED_FLOATS = {
 
 
 def test_encode_rejects_floats():
+    refusal = "refusing to serialize a float"
     for where, report in _NESTED_FLOATS.items():
         for pad in (None, "\n"):
-            with pytest.raises(TypeError, match="refusing to serialize a float"):
+            with pytest.raises(TypeError, match=refusal):
                 _encode(report, pad)
                 pytest.fail(f"a float as a {where} was serialized")
-        with pytest.raises(TypeError, match="refusing to serialize a float"):
+        with pytest.raises(TypeError, match=refusal):
             _fmt(report)
 
 
@@ -937,8 +938,9 @@ def test_encode_fraction_forms():
     assert (_fmt(Fraction(3, 2)), _fmt(Fraction(4, 2))) == ("3/2", "2")
 
 
-_CHARS = st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
-                   st.characters())
+_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+    st.characters())
 _KEYS = st.one_of(st.text(_CHARS, max_size=4),
                   st.integers(-2**100, 2**100))
 _LEAVES = st.one_of(
