@@ -8,8 +8,10 @@ Each pair runs ``perfbench/run.py --workload W --seconds S --seed N`` once
 in that copy and once in the working tree, one after the other; the base
 runs first in odd pairs and second in even ones.  For every end-to-end
 metric that ``BENCHMARK.json`` lists, it prints each side's median and
-quartiles, the relative change of the medians, and the pairs the working
-tree won (ties count for neither side).  A metric whose change is a gain
+quartiles, the relative change of the medians, the pairs the working tree
+won (ties count for neither side), and the median of the per-pair relative
+changes with how many of them fell and rose, so that a run in which a few
+pairs drifted reads as one.  A metric whose change is a gain
 is said to clear the claim rule when the working tree won at least nine
 tenths of the pairs and the medians differ by more than the base's
 quartile spread.  A change worse than the metric's bound is flagged, and
@@ -83,6 +85,9 @@ def summarise(metric: dict, base: list[float], head: list[float]) -> str:
     h_q1, h_q3 = quartiles(head)
     wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
     change = (h_med - b_med) / b_med if b_med else 0.0
+    per_pair = [(h - b) / b for b, h in zip(base, head) if b]
+    pair_med = statistics.median(per_pair) if per_pair else 0.0
+    fell, rose = sum(c < 0 for c in per_pair), sum(c > 0 for c in per_pair)
     gain = (h_med < b_med) if lower else (h_med > b_med)
     spread = b_q3 - b_q1
     if gain:
@@ -98,7 +103,8 @@ def summarise(metric: dict, base: list[float], head: list[float]) -> str:
     return (f"{metric['name']} ({metric['unit']}): "
             f"base {b_med:.6g} [{b_q1:.6g}, {b_q3:.6g}]  "
             f"head {h_med:.6g} [{h_q1:.6g}, {h_q3:.6g}]  "
-            f"{change:+.1%}  wins {wins}/{len(base)}  {verdict}")
+            f"{change:+.1%}  wins {wins}/{len(base)}  "
+            f"per pair {pair_med:+.1%} ({fell} fell, {rose} rose)  {verdict}")
 
 
 def main() -> int:

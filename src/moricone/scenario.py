@@ -7,10 +7,11 @@ x {point}.  The divisor basis is (H1, E_{1,*}, H2, E_{2,*}, E, F), so the
 Picard rank is 4 + r1 + r2.
 
 Curves are stored as intersection vectors against that basis, so pairing a
-divisor coefficient vector with a curve is a plain dot product, the cone of
-curves and the nef cone are exact duals, and every claim (cone equality,
+divisor coefficient vector with a curve is a plain dot product and the cone
+of curves and the nef cone are exact duals.  Every claim (cone equality,
 Fano/weak Fano/Fano-type classification, the supporting linear-program
-refutation) can be verified with the exact cone engine.
+refutation) is decided with the exact core (:mod:`moricone.exact`) alone;
+the cone engine ``cones.py`` is a second, independent check in the tests.
 
 The catalog is e (the fiber of E over the first center), f (the fiber of F)
 and one curve per factor NE generator, by one lift rule (:func:`_lift`); a
@@ -117,7 +118,7 @@ class Scenario:
         ``double_description`` workload calls it."""
         return self.curves
 
-    # slot indices into the divisor basis
+    # slot indices into the divisor basis; F is the last slot, rho - 1
     @property
     def idx_h1(self) -> int:
         return 0
@@ -130,10 +131,6 @@ class Scenario:
     def idx_e(self) -> int:
         return 2 + self.r1 + self.r2
 
-    @property
-    def idx_f(self) -> int:
-        return 3 + self.r1 + self.r2
-
 
 def build_scenario(r1: int, r2: int) -> Scenario:
     if not (0 <= r1 <= MAX_R1):
@@ -141,17 +138,8 @@ def build_scenario(r1: int, r2: int) -> Scenario:
     if not (0 <= r2 <= MAX_R2):
         raise ValueError(f"second factor needs 0 <= r2 <= {MAX_R2}, got {r2}")
     curves = [Curve(name, v) for name, v in _fibers(r1, r2).items()]
-    for cls, v in _lift(r1, r2, 1).items():
-        name = ("l1" if cls[-1] else "e1") + _points(cls[1:-1])
-        curves.append(Curve(name, v, 1, cls))
-    # (-1)-classes are named by position, H (r2 = 0) and H - E1 (r2 = 1) by
-    # the points they pass through.  The lift puts the pairing row of cls on
-    # the H2/E2 slots, so cls pairs with those slots to its self-intersection.
-    h2, e = r1 + 1, r1 + r2 + 2
-    for k, (cls, v) in enumerate(_lift(r1, r2, 2).items(), 1):
-        minus_one = _idot(cls, v[h2:e]) == -1
-        name = f"e2_{k}" if minus_one else "l2" + _points(cls[1:])
-        curves.append(Curve(name, v, 2, cls))
+    for k in (1, 2):
+        curves += [Curve(name, v, k, cls) for cls, name, v in _lift(r1, r2, k)]
     return Scenario(r1, r2, tuple(curves))
 
 
@@ -169,9 +157,33 @@ def _points(multiplicities: Sequence[int]) -> str:
 
 
 def _lift(r1: int, r2: int, factor: int
-          ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The intersection vectors of the curves of X over one factor's
-    lifted classes in cell (r1, r2), keyed by class in generator order.
+          ) -> list[tuple[tuple[int, ...], str, tuple[int, ...]]]:
+    """The curves of X over one factor's lifted classes in cell (r1, r2), as
+    (class, catalog name, intersection vector) in generator order: the
+    cached :func:`_lifted_classes` of the factor's lattice, padded into the
+    cell's basis."""
+    if factor == 1:
+        pad = (0,) * (r2 + 1)
+        return [(cls, name, row + pad + (e, 0))
+                for cls, name, row, e in _lifted_classes(1, r1)]
+    pad = (0,) * (r1 + 1)
+    return [(cls, name, pad + row + (e, 0))
+            for cls, name, row, e in _lifted_classes(2, r2)]
+
+
+# ---------------------------------------------------------------------------
+# per-lattice tables
+# ---------------------------------------------------------------------------
+# What a cell needs of a del Pezzo lattice depends on that lattice alone, so
+# it is built once per lattice and process from the guarded, cached output of
+# delpezzo.ne_generators and delpezzo.nef_cone; a cell only pads it into its
+# basis.  Every value is a tuple or a frozenset, so no caller can change it.
+
+@functools.cache
+def _lifted_classes(factor: int, r: int) -> tuple[tuple, ...]:
+    """(class, catalog name, pairing row, E entry) for each class that
+    :func:`_lift` lifts from one factor, in generator order; ``r`` is r1 for
+    factor 1 and r2 for factor 2.
 
     Factor 1: the classes are the generators of NE(dP_{r1+1}), the first
     factor blown up also at the point of the first center, other than its
@@ -180,17 +192,48 @@ def _lift(r1: int, r2: int, factor: int
     its last entry) on E.  Factor 2: the classes are the generators of
     NE(S2).  A class's pairing row goes on the H2/E2 slots and its degree
     on E.
+
+    Names: a factor-1 curve lists the points it passes through (``l1_12``,
+    ``e1_1``), as do H (r2 = 0) and H - E1 (r2 = 1) of S2 (``l2``,
+    ``l2_1``); the (-1)-classes of S2 are named by position (``e2_k``).
     """
     pairing_row = delpezzo.pairing_row
     if factor == 1:
-        e0 = (0,) * (r1 + 1) + (1,)
-        pad = (0,) * (r2 + 1)
-        return {c: pairing_row(c[:-1]) + pad + (-c[-1], 0)
-                for c in delpezzo.ne_generators(delpezzo.build(r1 + 1))
-                if c != e0}
-    pad = (0,) * (r1 + 1)
-    return {c: pad + pairing_row(c) + (c[0], 0)
-            for c in delpezzo.ne_generators(delpezzo.build(r2))}
+        e0 = (0,) * (r + 1) + (1,)
+        return tuple((c, ("l1" if c[-1] else "e1") + _points(c[1:-1]),
+                      pairing_row(c[:-1]), -c[-1])
+                     for c in delpezzo.ne_generators(delpezzo.build(r + 1))
+                     if c != e0)
+    out = []
+    for k, c in enumerate(delpezzo.ne_generators(delpezzo.build(r)), 1):
+        row = pairing_row(c)   # c . row is the self-intersection of c
+        name = f"e2_{k}" if _idot(c, row) == -1 else "l2" + _points(c[1:])
+        out.append((c, name, row, c[0]))
+    return tuple(out)
+
+
+@functools.cache
+def _t1_classes(r1: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, N1) for each N1 in T1, in report order (see
+    :func:`t1_divisors`), N1 in the basis (H1, E1_1, ..., E1_r1)."""
+    keyed = []
+    for ray in delpezzo.nef_cone(delpezzo.build(r1 + 1)).rays:
+        if ray[-1] == -1:
+            points = [j for j, m in enumerate(ray[1:-1], 1) if m]
+            keyed.append((ray[0], len(points), points, ray[:-1]))
+    keyed.sort()
+    return tuple((("H1" if d == 1 else f"{d}H1")
+                  + "".join([f"-E1_{j}" for j in points]), n1)
+                 for d, _, points, n1 in keyed)
+
+
+@functools.cache
+def _p_rays(r1: int) -> frozenset[tuple[int, ...]]:
+    """The extremal rays (D, 0) and (D, x_E(D)) of the lemma's P (see
+    :func:`verify_theorem`), for the rays D of Nef(dP_{r1+1})."""
+    return frozenset(d + (x,)
+                     for d in delpezzo.nef_cone(delpezzo.build(r1 + 1)).rays
+                     for x in (0, d[-1]))
 
 
 def anticanonical(s: Scenario) -> tuple[int, ...]:
@@ -215,30 +258,17 @@ def t1_divisors(s: Scenario) -> tuple[NamedVector, ...]:
     """The rays of Nef(dP_{r1+1}) with E0 coefficient -1, E0 dropped, by
     degree, number of points and points: H1, 2H1-E1_j-E1_k, ...  Every
     multiplicity is 1 for r1 <= MAX_R1, so a name lists the points only."""
-    keyed = []
-    for ray in delpezzo.nef_cone(delpezzo.build(s.r1 + 1)).rays:
-        if ray[-1] == -1:
-            points = [j for j, m in enumerate(ray[1:-1], 1) if m]
-            keyed.append((ray[0], len(points), points, ray))
-    keyed.sort()
-    return tuple(
-        NamedVector(("H1" if d == 1 else f"{d}H1")
-                    + "".join([f"-E1_{j}" for j in points]),
-                    _embed_factor(s, 1, ray))
-        for d, _, points, ray in keyed)
+    return tuple(NamedVector(name, _embed_factor(s, 1, n1))
+                 for name, n1 in _t1_classes(s.r1))
 
 
 def t_divisors(s: Scenario) -> tuple[NamedVector, ...]:
-    h2, e, f = s.idx_h2, s.idx_e, s.idx_f
+    """N1 + H2 - E and N1 + H2 - E - F for each N1 in T1, in that order."""
+    h2_e = (1,) + (0,) * s.r2 + (-1,)
     out = []
-    for n1 in t1_divisors(s):
-        v = list(n1.vector)
-        v[h2] += 1
-        v[e] -= 1
-        out.append(NamedVector(f"{n1.name}+H2-E", tuple(v)))
-        v = list(v)
-        v[f] -= 1
-        out.append(NamedVector(f"{n1.name}+H2-E-F", tuple(v)))
+    for name, n1 in _t1_classes(s.r1):
+        out.append(NamedVector(f"{name}+H2-E", n1 + h2_e + (0,)))
+        out.append(NamedVector(f"{name}+H2-E-F", n1 + h2_e + (-1,)))
     return tuple(out)
 
 
@@ -313,8 +343,8 @@ def _block_split(s: Scenario) -> tuple[Optional[dict], Optional[dict]]:
     Returns ``(lift_witness, unlifted_witness)``: the first curve that breaks
     the rule, and a fiber or factor class that no curve carries.
     """
-    r1, r2 = s.r1, s.r2
-    todo = {0: _fibers(r1, r2), 1: _lift(r1, r2, 1), 2: _lift(r1, r2, 2)}
+    todo = {k: {cls: v for cls, _, v in _lift(s.r1, s.r2, k)} for k in (1, 2)}
+    todo[0] = _fibers(s.r1, s.r2)
     for c in s.curves:
         expected = todo.get(c.factor, {}).pop(
             c.factor_class if c.factor else c.name, None)
@@ -364,6 +394,11 @@ def verify_theorem(s: Scenario) -> TheoremVerdict:
     no curve carries, or a claimed divisor outside the first block, is
     reported ``unequal``.  A ray of P not in Q, or a claim outside P, is
     reported in full coordinates: A2' = 0 puts minus its E entry on H2.
+
+    Lattice data are cached per lattice: the lifted rows that
+    :func:`_block_split` checks, T1 and the rays of P are built once per
+    process from the guarded ``delpezzo`` orbits, and a cell only pads them
+    into its basis.
     """
     first = factor_nef_vectors(s, 1) + t_divisors(s)
     lift_witness, unlifted = _block_split(s)
@@ -401,8 +436,7 @@ def _equality(s: Scenario, first: Sequence[NamedVector],
         bad = next(nv for nv in first if nv.name == containment["divisor"])
         return EQ_UNEQUAL, {"ray": primitive(bad.vector),
                             "only_in": "claimed nef cone"}
-    nef = delpezzo.nef_cone(delpezzo.build(s.r1 + 1)).rays
-    missing = sorted({d + (x,) for d in nef for x in (0, d[-1])} - projected)
+    missing = sorted(_p_rays(s.r1) - projected)
     if not missing:
         return EQ_EQUAL, None
     z = missing[0]

@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 
 from moricone import cones, delpezzo
+from moricone import scenario as sc
 from moricone.delpezzo import (
     build,
     minus_one_classes,
@@ -130,14 +131,23 @@ def test_nef_cone_dual_roundtrip(r):
     assert cones.dual(rows).rays == nef.rays
 
 
+# The per-lattice tables that scenario builds from ne_generators and
+# nef_cone; test_scenario checks that they are all of its caches but one.
+SCENARIO_TABLES = (sc._lifted_classes, sc._t1_classes, sc._p_rays)
+
+
 def add_exceptional_to_orbits(monkeypatch):
     """Make every Weyl orbit also hold E_r, which is not nef for r >= 1.
     The (-1)-class orbit already holds it, and ``nef_cone`` raises for
-    r >= 1, so no wrong list is left in either cache."""
+    r >= 1, so no wrong list is left in either cache.  The scenario tables
+    are cleared too: warm, they would spare a cell its ``nef_cone`` call,
+    and with it the guard under test."""
     real = delpezzo._orbit
     monkeypatch.setattr(delpezzo, "_orbit", lambda r, seeds: tuple(
         sorted(set(real(r, seeds)) | {(0,) * r + (1,)})))
     delpezzo.nef_cone.cache_clear()
+    for table in SCENARIO_TABLES:
+        table.cache_clear()
 
 
 def test_nef_cone_guard_rejects_a_non_nef_ray(monkeypatch):

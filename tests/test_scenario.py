@@ -20,10 +20,15 @@ from .oracles import (containment_by_pairs, dual_by_facet_enumeration,
                       reference_catalog,
                       reference_t1, relaxed_refutation_system,
                       t_certificates_agree_with_membership)
+from .test_delpezzo import SCENARIO_TABLES
 
 # ---------------------------------------------------------------------------
 # catalog structure
 # ---------------------------------------------------------------------------
+
+_CELLS = [(r1, r2) for r1 in range(sc.MAX_R1 + 1)
+          for r2 in range(sc.MAX_R2 + 1)]
+
 
 def _curve(s, name):
     """The catalog curve called ``name``."""
@@ -34,7 +39,7 @@ def test_basis_layout():
     s = sc.build_scenario(2, 3)
     assert s.rho == 9
     assert s.idx_h1 == 0 and s.idx_h2 == 3
-    assert s.idx_e == 7 and s.idx_f == 8
+    assert s.idx_e == 7 == s.rho - 2   # F is the last slot
 
 
 def test_range_validation():
@@ -130,6 +135,18 @@ def test_t1_divisors_match_reference(r1):
         zeros = (0,) * (s.rho - r1 - 1)
         assert ([(nv.name, nv.vector) for nv in sc.t1_divisors(s)]
                 == [(name, cls + zeros) for name, cls in reference_t1(r1)])
+
+
+def test_t_divisors_match_reference_on_all_cells():
+    # The T path reads cached T1 classes and pads them: on every cell, each
+    # hand-written N1 extended by H2 - E, then by H2 - E - F, in that order.
+    for r1, r2 in _CELLS:
+        h2_e = (1,) + (0,) * r2 + (-1,)
+        expected = [(f"{name}+H2-E{suffix}", cls + h2_e + (x_f,))
+                    for name, cls in reference_t1(r1)
+                    for suffix, x_f in (("", 0), ("-F", -1))]
+        got = sc.t_divisors(sc.build_scenario(r1, r2))
+        assert [(nv.name, nv.vector) for nv in got] == expected, (r1, r2)
 
 
 @pytest.mark.parametrize("r1", range(sc.MAX_R1 + 1))
@@ -232,7 +249,7 @@ def test_theorem_non_nef_claim_is_outside_p(monkeypatch):
     s = sc.build_scenario(2, 3)
     full = sc.t_divisors(s)
     v = list(full[0].vector)
-    v[s.idx_f] += 1
+    v[s.idx_e + 1] += 1   # the F slot
     bent = dataclasses.replace(full[0], vector=tuple(v))
     monkeypatch.setattr(sc, "t_divisors", lambda s: (bent,) + full[1:])
     verdict = sc.verify_theorem(s)
@@ -243,10 +260,6 @@ def test_theorem_non_nef_claim_is_outside_p(monkeypatch):
                                         "only_in": "claimed nef cone"}
 
 
-_CELLS = [(r1, r2) for r1 in range(sc.MAX_R1 + 1)
-          for r2 in range(sc.MAX_R2 + 1)]
-
-
 def _non_nef_t(s, k, e=0):
     """The T divisors with the k-th one's F coefficient set to 1, so that
     it pairs -1 with f, and its E coefficient raised by ``e``; e = 3 makes
@@ -254,7 +267,7 @@ def _non_nef_t(s, k, e=0):
     full = sc.t_divisors(s)
     v = list(full[k].vector)
     v[s.idx_e] += e
-    v[s.idx_f] = 1
+    v[s.idx_e + 1] = 1   # the F slot
     return full[:k] + (dataclasses.replace(full[k], vector=tuple(v)),) \
         + full[k + 1:]
 
@@ -274,7 +287,7 @@ def test_containment_matches_pairwise_oracle(r1, r2):
     bent = ["e", "f"] + [next(c.name for c in s.curves if c.factor == k)
                          for k in (1, 2)]
     cases += [(_bent(s, name, slot), first + sc.t_divisors(s))
-              for name in bent for slot in (s.idx_e, s.idx_f)]
+              for name in bent for slot in (s.idx_e, s.idx_e + 1)]
     witnesses = []
     for case, claimed in cases:
         got = sc._containment_explicit(case.curves, claimed)
@@ -406,6 +419,86 @@ def test_theorem_broken_f_split_is_refuted(r1, r2):
         s, (c for c in s.curves if c.name != "e")))
     assert v.equality_witness == {"factor_class": "e",
                                   "reason": "fiber not lifted"}
+
+
+def _cell_records(cells):
+    """Catalog, claims and verdict of each cell, built in the given order."""
+    out = {}
+    for r1, r2 in cells:
+        s = sc.build_scenario(r1, r2)
+        claims = sc.factor_nef_vectors(s, 1) + sc.t_divisors(s)
+        out[r1, r2] = (s.curves, claims, sc.verify_theorem(s))
+    return out
+
+
+def _clear_tables():
+    for table in SCENARIO_TABLES:
+        table.cache_clear()
+
+
+def _immutable(x):
+    if isinstance(x, (tuple, frozenset)):
+        return all(map(_immutable, x))
+    return isinstance(x, (int, str))
+
+
+def test_scenario_tables_are_every_lattice_cache():
+    # A cache the fixtures do not clear could keep a table built before a
+    # test patched the orbits; the refutation is the one cache that depends
+    # on no lattice.
+    cached = {f for f in vars(sc).values() if hasattr(f, "cache_clear")}
+    assert cached == {*SCENARIO_TABLES, sc._refutation}
+
+
+def test_tables_do_not_depend_on_cell_order():
+    # Tables built by the cells in reverse order give the catalogs, claims
+    # and verdicts of the forward order, and every table is immutable.
+    _clear_tables()
+    forward = _cell_records(_CELLS)
+    _clear_tables()
+    assert _cell_records(_CELLS[::-1]) == forward
+    for r in range(sc.MAX_R2 + 1):
+        tables = [sc._lifted_classes(2, r)]
+        if r <= sc.MAX_R1:
+            tables += [sc._lifted_classes(1, r), sc._t1_classes(r),
+                       sc._p_rays(r)]
+        for table in tables:
+            assert isinstance(table, (tuple, frozenset)), r
+            assert _immutable(table), r
+
+
+@pytest.mark.parametrize("r1,r2", [(1, 3), (2, 8)])
+def test_bent_curves_give_one_witness_warm_or_cold(r1, r2):
+    # A bent first-factor and a bent second-factor curve are caught the
+    # same way whether the tables are warm or built by the check itself.
+    s = sc.build_scenario(r1, r2)
+    cases = [_bent(s, "e1_1", s.idx_h1), _bent(s, "e2_1", s.idx_h2 + 1)]
+    warm = [sc.verify_theorem(b) for b in cases]
+    _clear_tables()
+    assert [sc.verify_theorem(b) for b in cases] == warm
+    for verdict, name in zip(warm, ("e1_1", "e2_1")):
+        assert verdict.containment_witness == {"curve": name,
+                                               "reason": "lift rule violated"}
+        assert verdict.equality_status == sc.EQ_UNEQUAL
+
+
+def test_pairing_rows_are_computed_once_per_lattice(monkeypatch):
+    # Rows come from the per-lattice tables: a second pass over every cell
+    # computes none.
+    calls = []
+    real = delpezzo.pairing_row
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(delpezzo, "pairing_row", counted)
+    _clear_tables()
+    _cell_records(_CELLS)
+    once = len(calls)
+    assert once
+    _cell_records(_CELLS)
+    assert len(calls) == once
 
 
 # ---------------------------------------------------------------------------
