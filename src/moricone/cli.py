@@ -175,14 +175,12 @@ def _cmd_classify_construction(args):
 
 def _cmd_dp_scenario(args):
     s = sc.build_scenario(args.r1, args.r2)
-    ne_gens = [{"name": c.name, "vector": c.vector} for c in s.curves]
-    nef_gens = [{"name": nv.name, "vector": nv.vector}
-                for nv in sc.factor_nef_vectors(s, 1) + sc.t_divisors(s)]
+    claims = sc.factor_nef_vectors(s, 1) + sc.t_divisors(s)
     extra = {"r1": s.r1, "r2": s.r2, "rho": s.rho,
-             "ne_generators": ne_gens, "nef_generators": nef_gens}
+             "ne_generators": s.curves, "nef_generators": claims}
     lines = [
         f"scenario (r1, r2) = ({s.r1}, {s.r2}): Picard rank {s.rho}, "
-        f"{len(ne_gens)} curve generators, {len(nef_gens)} listed nef "
+        f"{len(s.curves)} curve generators, {len(claims)} listed nef "
         f"generators (first-factor pullbacks and T); the second factor's "
         f"nef cone is pulled back",
     ]
@@ -206,9 +204,8 @@ def _cmd_dp_scenario(args):
 
     if args.classify:
         res = sc.classify(s)
-        verdicts["fano"] = res.fano
-        verdicts["weak_fano"] = res.weak_fano
-        verdicts["fano_type"] = res.fano_type
+        verdicts.update(fano=res.fano, weak_fano=res.weak_fano,
+                        fano_type=res.fano_type)
         witnesses.update(res.witnesses)
         lines.append(f"classification: Fano = {res.fano}, weak Fano = "
                      f"{res.weak_fano}, Fano type = {res.fano_type}")
@@ -223,35 +220,25 @@ _GRID_LABELS = {
 
 
 def _cmd_dp_classify_all(args):
-    table = sc.classify_all()
-    cells = []
-    for r1 in range(sc.MAX_R1 + 1):
-        for r2 in range(sc.MAX_R2 + 1):
-            res = table[(r1, r2)]
-            cell = {"r1": r1, "r2": r2, "fano": res.fano,
-                    "weak_fano": res.weak_fano, "fano_type": res.fano_type}
-            if not res.fano and "not_fano" in res.witnesses:
-                cell["witness"] = res.witnesses["not_fano"]
-            if not res.weak_fano and "not_weak_fano" in res.witnesses:
-                cell["witness"] = res.witnesses["not_weak_fano"]
-            cells.append(cell)
     columns = range(sc.MAX_R2 + 1)
     lines = ["| r1 \\ r2 | " + " | ".join(str(r2) for r2 in columns) + " |",
              "|---" * (len(columns) + 1) + "|"]
-    for r1 in range(sc.MAX_R1 + 1):
-        row = [f"| {r1} "]
-        for r2 in range(sc.MAX_R2 + 1):
-            res = table[(r1, r2)]
-            row.append(f"| {_GRID_LABELS[(res.fano, res.weak_fano)]} ")
-        lines.append("".join(row) + "|")
-    verdicts = {
-        "fano_cells": [[r1, r2] for (r1, r2), res in sorted(table.items())
-                       if res.fano],
-        "weak_fano_cells": [[r1, r2] for (r1, r2), res in sorted(table.items())
-                            if res.weak_fano],
-        "fano_type_cells": [[r1, r2] for (r1, r2), res in sorted(table.items())
-                            if res.fano_type],
-    }
+    cells = []
+    verdicts = {"fano_cells": [], "weak_fano_cells": [], "fano_type_cells": []}
+    for (r1, r2), res in sorted(sc.classify_all().items()):
+        cell = {"r1": r1, "r2": r2, "fano": res.fano,
+                "weak_fano": res.weak_fano, "fano_type": res.fano_type}
+        for key in ("fano", "weak_fano", "fano_type"):
+            if cell[key]:
+                verdicts[f"{key}_cells"].append([r1, r2])
+        # classify names a witness only for a verdict that fails
+        for key in ("not_fano", "not_weak_fano"):
+            if key in res.witnesses:
+                cell["witness"] = res.witnesses[key]
+        cells.append(cell)
+        if r2 == 0:
+            lines.append(f"| {r1} |")
+        lines[-1] += f" {_GRID_LABELS[(res.fano, res.weak_fano)]} |"
     return EXIT_VERIFIED, lines, {"cells": cells}, verdicts, {}
 
 

@@ -4,9 +4,9 @@ packed sign-table kernel and the re-check of Farkas certificates.  It solves
 no LP and dualises no cone; :mod:`moricone.cones`, the engine built on it,
 does.
 
-Every "pairs >= 0" table on the verdict path goes through one kernel,
-:func:`first_negative`: it decides all the rows of a ray with one
-big-integer product, exactly.
+:func:`first_negative` decides the claimed divisors' nefness on a scenario's
+catalog and the del Pezzo nef-cone guard with one big-integer product per
+ray, exactly; a certificate stratum pairs curve by curve with :func:`dot`.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ def primitive(v: Sequence[Number]) -> IntVector:
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-def is_zero(v: Sequence[Number]) -> bool:
-    return all(x == 0 for x in v)
-
-
 @dataclass(frozen=True)
 class PolyCone:
     """A rational polyhedral cone in V-form.
@@ -113,7 +109,7 @@ def generated(dim: int, vectors: Iterable[Sequence[Number]]) -> PolyCone:
             raise DimensionMismatchError(
                 f"ray #{i} has length {len(rr)}, expected {dim}")
         p = primitive(rr)
-        if not is_zero(p):
+        if any(p):
             cleaned.add(p)
     return PolyCone(dim, tuple(sorted(cleaned)))
 

@@ -15,7 +15,7 @@ the cone engine ``cones.py`` is a second, independent check in the tests.
 
 The catalog is e (the fiber of E over the first center), f (the fiber of F)
 and one curve per factor NE generator, by one lift rule (:func:`_lift`); a
-lifted curve keeps the class it is lifted from as its ``factor_class``:
+curve is its name and vector, and its name says which class it lifts:
 
 * factor 1: each generator of NE(dP_{r1+1}), where the extra point is the
   point of the first center, puts its pairing row on the H1/E1 slots and its
@@ -68,19 +68,9 @@ MAX_R2 = 8
 
 
 @dataclass(frozen=True)
-class Curve:
-    """A catalog curve: its name, its intersection vector and, for a curve
-    over a factor surface, the factor index and the class :func:`_lift`
-    lifts (a class of dP_{r1+1} for factor 1, of dP_{r2} for factor 2)."""
-
-    name: str
-    vector: tuple[int, ...]
-    factor: int = 0
-    factor_class: Optional[tuple[int, ...]] = None
-
-
-@dataclass(frozen=True)
 class NamedVector:
+    """A catalog curve or a claimed divisor: its name and its vector."""
+
     name: str
     vector: tuple
 
@@ -89,7 +79,7 @@ class NamedVector:
 class Scenario:
     r1: int
     r2: int
-    curves: tuple[Curve, ...]
+    curves: tuple[NamedVector, ...]
 
     def __post_init__(self):
         # Pairings with the catalog are unchecked dot products.
@@ -104,25 +94,13 @@ class Scenario:
     def rho(self) -> int:
         return 4 + self.r1 + self.r2
 
-    @property
-    def lattice1(self) -> delpezzo.DelPezzoLattice:
-        return delpezzo.build(self.r1)
-
-    @property
-    def lattice2(self) -> delpezzo.DelPezzoLattice:
-        return delpezzo.build(self.r2)
-
-    def ne_curves(self) -> tuple[Curve, ...]:
+    def ne_curves(self) -> tuple[NamedVector, ...]:
         """The claimed generators of the cone of curves: every curve.  The
         package reads :attr:`curves`; this stays because the benchmark's
         ``double_description`` workload calls it."""
         return self.curves
 
-    # slot indices into the divisor basis; F is the last slot, rho - 1
-    @property
-    def idx_h1(self) -> int:
-        return 0
-
+    # slot indices into the divisor basis: H1 is slot 0, F the last, rho - 1
     @property
     def idx_h2(self) -> int:
         return 1 + self.r1
@@ -137,10 +115,8 @@ def build_scenario(r1: int, r2: int) -> Scenario:
         raise ValueError(f"first factor needs 0 <= r1 <= {MAX_R1}, got {r1}")
     if not (0 <= r2 <= MAX_R2):
         raise ValueError(f"second factor needs 0 <= r2 <= {MAX_R2}, got {r2}")
-    curves = [Curve(name, v) for name, v in _fibers(r1, r2).items()]
-    for k in (1, 2):
-        curves += [Curve(name, v, k, cls) for cls, name, v in _lift(r1, r2, k)]
-    return Scenario(r1, r2, tuple(curves))
+    curves = [*_fibers(r1, r2).items(), *_lift(r1, r2, 1), *_lift(r1, r2, 2)]
+    return Scenario(r1, r2, tuple(NamedVector(*c) for c in curves))
 
 
 def _fibers(r1: int, r2: int) -> dict[str, tuple[int, ...]]:
@@ -157,18 +133,18 @@ def _points(multiplicities: Sequence[int]) -> str:
 
 
 def _lift(r1: int, r2: int, factor: int
-          ) -> list[tuple[tuple[int, ...], str, tuple[int, ...]]]:
+          ) -> list[tuple[str, tuple[int, ...]]]:
     """The curves of X over one factor's lifted classes in cell (r1, r2), as
-    (class, catalog name, intersection vector) in generator order: the
-    cached :func:`_lifted_classes` of the factor's lattice, padded into the
-    cell's basis."""
+    (catalog name, intersection vector) in generator order: the cached
+    :func:`_lifted_classes` of the factor's lattice, padded into the cell's
+    basis."""
     if factor == 1:
         pad = (0,) * (r2 + 1)
-        return [(cls, name, row + pad + (e, 0))
-                for cls, name, row, e in _lifted_classes(1, r1)]
+        return [(name, row + pad + (e, 0))
+                for name, row, e in _lifted_classes(1, r1)]
     pad = (0,) * (r1 + 1)
-    return [(cls, name, pad + row + (e, 0))
-            for cls, name, row, e in _lifted_classes(2, r2)]
+    return [(name, pad + row + (e, 0))
+            for name, row, e in _lifted_classes(2, r2)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +157,7 @@ def _lift(r1: int, r2: int, factor: int
 
 @functools.cache
 def _lifted_classes(factor: int, r: int) -> tuple[tuple, ...]:
-    """(class, catalog name, pairing row, E entry) for each class that
+    """(catalog name, pairing row, E entry) for each class that
     :func:`_lift` lifts from one factor, in generator order; ``r`` is r1 for
     factor 1 and r2 for factor 2.
 
@@ -196,19 +172,25 @@ def _lifted_classes(factor: int, r: int) -> tuple[tuple, ...]:
     Names: a factor-1 curve lists the points it passes through (``l1_12``,
     ``e1_1``), as do H (r2 = 0) and H - E1 (r2 = 1) of S2 (``l2``,
     ``l2_1``); the (-1)-classes of S2 are named by position (``e2_k``).
+    A name is the key the catalog check reads, so two classes of one
+    lattice under one name are an internal error.
     """
     pairing_row = delpezzo.pairing_row
     if factor == 1:
         e0 = (0,) * (r + 1) + (1,)
-        return tuple((c, ("l1" if c[-1] else "e1") + _points(c[1:-1]),
-                      pairing_row(c[:-1]), -c[-1])
-                     for c in delpezzo.ne_generators(delpezzo.build(r + 1))
-                     if c != e0)
-    out = []
-    for k, c in enumerate(delpezzo.ne_generators(delpezzo.build(r)), 1):
-        row = pairing_row(c)   # c . row is the self-intersection of c
-        name = f"e2_{k}" if _idot(c, row) == -1 else "l2" + _points(c[1:])
-        out.append((c, name, row, c[0]))
+        out = [(("l1" if c[-1] else "e1") + _points(c[1:-1]),
+                pairing_row(c[:-1]), -c[-1])
+               for c in delpezzo.ne_generators(delpezzo.build(r + 1))
+               if c != e0]
+    else:
+        out = []
+        for k, c in enumerate(delpezzo.ne_generators(delpezzo.build(r)), 1):
+            row = pairing_row(c)   # c . row is the self-intersection of c
+            name = f"e2_{k}" if _idot(c, row) == -1 else "l2" + _points(c[1:])
+            out.append((name, row, c[0]))
+    if len({name for name, _, _ in out}) != len(out):
+        raise AssertionError(f"factor {factor}, r = {r}: two lifted classes "
+                             f"share a name")
     return tuple(out)
 
 
@@ -238,7 +220,8 @@ def _p_rays(r1: int) -> frozenset[tuple[int, ...]]:
 
 def anticanonical(s: Scenario) -> tuple[int, ...]:
     """-K_X = -K_1 - K_2 - 2E - F, K_k the canonical class of factor k."""
-    k = s.lattice1.canonical_class + s.lattice2.canonical_class
+    k = (delpezzo.build(s.r1).canonical_class
+         + delpezzo.build(s.r2).canonical_class)
     return tuple(-x for x in k) + (-2, -1)
 
 
@@ -274,7 +257,7 @@ def t_divisors(s: Scenario) -> tuple[NamedVector, ...]:
 
 def _embed_factor(s: Scenario, factor: int, cls: Sequence[int]) -> tuple:
     """``cls`` on one factor's H/E slots; entries past them are dropped."""
-    start, n = (s.idx_h1, s.r1 + 1) if factor == 1 else (s.idx_h2, s.r2 + 1)
+    start, n = (0, s.r1 + 1) if factor == 1 else (s.idx_h2, s.r2 + 1)
     return (0,) * start + tuple(cls[:n]) + (0,) * (s.rho - start - n)
 
 
@@ -336,28 +319,28 @@ def _containment_explicit(ne_curves, claimed) -> Optional[dict]:
 
 
 def _block_split(s: Scenario) -> tuple[Optional[dict], Optional[dict]]:
-    """Check the catalog against the rule that builds it: e and f have
-    exactly their listed vectors (:func:`_fibers`), and every factor-k curve
-    is the :func:`_lift` of a distinct class.
+    """Check the catalog against the rule that builds it: each curve is the
+    fiber (:func:`_fibers`) or the :func:`_lift` that its name names, with
+    exactly that vector, and no name comes twice.
 
     Returns ``(lift_witness, unlifted_witness)``: the first curve that breaks
-    the rule, and a fiber or factor class that no curve carries.
+    the rule, and the first fiber or lifted class, in catalog order, that no
+    curve carries.
     """
-    todo = {k: {cls: v for cls, _, v in _lift(s.r1, s.r2, k)} for k in (1, 2)}
-    todo[0] = _fibers(s.r1, s.r2)
+    todo = {}
+    for noun, part in (("fiber", _fibers(s.r1, s.r2).items()),
+                       ("NE(dP_{r1+1}) generator", _lift(s.r1, s.r2, 1)),
+                       ("NE(S2) generator", _lift(s.r1, s.r2, 2))):
+        todo.update((name, (noun, v)) for name, v in part)
     for c in s.curves:
-        expected = todo.get(c.factor, {}).pop(
-            c.factor_class if c.factor else c.name, None)
+        noun, expected = todo.pop(c.name, (None, None))
         if expected != c.vector:
-            reason = ("not a listed class, or lifted twice" if expected is None
-                      else "lift rule violated" if c.factor
-                      else "F split violated")
+            reason = ("not a listed class, or lifted twice" if noun is None
+                      else "F split violated" if noun == "fiber"
+                      else "lift rule violated")
             return {"curve": c.name, "reason": reason}, None
-    for k, noun in enumerate(("fiber", "NE(dP_{r1+1}) generator",
-                              "NE(S2) generator")):
-        if todo[k]:
-            return None, {"factor_class": min(todo[k]),
-                          "reason": f"{noun} not lifted"}
+    for name, (noun, _) in todo.items():
+        return None, {"curve": name, "reason": f"{noun} not lifted"}
     return None, None
 
 
@@ -540,21 +523,18 @@ def refutation_system() -> LinearProgram:
     ))
 
 
+# The refutation depends on no scenario, and both of its fields are
+# immutable, so every caller shares this one.
+REFUTATION = RefutationResult(lp=refutation_system(), certificate=(0, 1, 1, 1))
+
+
 def not_fano_type_refutation(s: Scenario) -> RefutationResult:
     """The refutation system with its Farkas multipliers: rows 2, 3 and 4
     sum to 0 > 0.  :func:`classify` re-checks them before use."""
     if s.r2 < 2:
         raise ValueError("the refutation applies only when the second factor "
                          "is blown up at two or more points")
-    return _refutation()
-
-
-@functools.cache
-def _refutation() -> RefutationResult:
-    """The refutation does not depend on the scenario: build it once.  Both
-    fields are immutable, so every caller may share it."""
-    return RefutationResult(lp=refutation_system(),
-                            certificate=(0, 1, 1, 1))
+    return REFUTATION
 
 
 def classify_all() -> dict[tuple[int, int], ClassificationResult]:
@@ -599,8 +579,8 @@ def factor_chains_for_t1(s: Scenario, n1: NamedVector
             ChainStep(child=Stratum(id="pt", rank=0, oracle_curves=()),
                       restriction=())))
         for root, lattice, curve, cls, divisor in (
-            ("X1", s.lattice1, "C", _curve_for_t1(n1bar), n1bar),
-            ("X2", s.lattice2, "A2", h2bar, h2bar)))
+            ("X1", delpezzo.build(s.r1), "C", _curve_for_t1(n1bar), n1bar),
+            ("X2", delpezzo.build(s.r2), "A2", h2bar, h2bar)))
 
 
 def t_divisor_certificates(s: Scenario) -> dict[str, ProductCertificates]:

@@ -30,7 +30,7 @@ from moricone.cli import (EXIT_ERROR, EXIT_INTERNAL, EXIT_REFUTED,
 from .oracles import jsonable_by_asdict
 from .test_certificates import three_step_chain
 from .test_delpezzo import add_exceptional_to_orbits
-from .test_scenario import _bent
+from .test_scenario import _bent, _clear_tables
 
 
 _CERTS = Path(__file__).resolve().parents[1] / "certs"
@@ -695,6 +695,46 @@ def test_non_nef_orbit_ray_is_an_internal_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.endswith(
         "AssertionError: ray (0, 1) pairs negatively with a row\n")
+
+
+def test_lifted_classes_sharing_a_name_are_an_internal_error(
+        monkeypatch, capsys):
+    # The catalog check keys curves by name, so a lattice whose lifted
+    # classes share a name fails a check of the program: exit 3, no verdict.
+    monkeypatch.setattr(sc, "_points", lambda multiplicities: "")
+    _clear_tables()
+    try:
+        code = run(["dp", "scenario", "--r1", "2", "--r2", "0",
+                    "--verify-cones"])
+    finally:
+        monkeypatch.undo()
+        _clear_tables()
+    assert code == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "AssertionError: factor 1, r = 2: two lifted classes share a name\n")
+
+
+def test_importing_the_package_loads_no_module():
+    # The package binds its version and nothing else, and the exact core
+    # loads alone.
+    script = "\n".join([
+        "import json, sys",
+        "import moricone",
+        "loaded = sorted(m for m in sys.modules if m.startswith('moricone.'))",
+        "bound = sorted(n for n in vars(moricone) if not n.startswith('__'))",
+        "import moricone.exact",
+        "print(json.dumps([loaded, bound, moricone.__version__,",
+        "    sorted(m for m in sys.modules if m.startswith('moricone.'))]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded, bound, version, with_exact = json.loads(proc.stdout)
+    assert loaded == [] and bound == []
+    assert version == moricone.__version__
+    assert with_exact == ["moricone.exact"]
 
 
 def test_verdict_modules_import_no_engine():

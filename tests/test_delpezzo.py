@@ -132,7 +132,7 @@ def test_nef_cone_dual_roundtrip(r):
 
 
 # The per-lattice tables that scenario builds from ne_generators and
-# nef_cone; test_scenario checks that they are all of its caches but one.
+# nef_cone; test_scenario checks that they are all of its caches.
 SCENARIO_TABLES = (sc._lifted_classes, sc._t1_classes, sc._p_rays)
 
 

@@ -35,10 +35,24 @@ def _curve(s, name):
     return next(c for c in s.curves if c.name == name)
 
 
+def _names(s, factor):
+    """The names of the curves over one factor, in generator order."""
+    return [name for name, _ in sc._lift(s.r1, s.r2, factor)]
+
+
+def _second_factor_class(s, c):
+    """The class of dP_{r2} that a curve's H2/E2 block is the pairing row
+    of; ``pairing_row`` is its own inverse."""
+    return delpezzo.pairing_row(c.vector[s.idx_h2:s.idx_e])
+
+
 def test_basis_layout():
     s = sc.build_scenario(2, 3)
     assert s.rho == 9
-    assert s.idx_h1 == 0 and s.idx_h2 == 3
+    assert s.idx_h2 == 3
+    # H1 is slot 0: a factor-1 class starts the vector
+    assert sc._embed_factor(s, 1, (1, 0, 0)) == (1,) + (0,) * 8
+    assert sc._embed_factor(s, 2, (1, 0, 0, 0)) == (0,) * 3 + (1,) + (0,) * 5
     assert s.idx_e == 7 == s.rho - 2   # F is the last slot
 
 
@@ -72,7 +86,7 @@ def test_catalog_0_1():
 def test_catalog_matches_reference_on_all_cells():
     for r1 in range(sc.MAX_R1 + 1):
         for r2 in range(sc.MAX_R2 + 1):
-            built = [(c.name, c.vector, c.factor, c.factor_class)
+            built = [(c.name, c.vector)
                      for c in sc.build_scenario(r1, r2).ne_curves()]
             assert sorted(built) == sorted(reference_catalog(r1, r2)), (r1, r2)
 
@@ -94,8 +108,8 @@ def test_ne_set_sizes():
 def test_lifted_curve_intersections():
     # lift of (-1)-class (1,-1,-1): H2-deg 1, exceptional pairings 1, E-coeff 1
     s = sc.build_scenario(0, 2)
-    lifted = [c for c in s.curves
-              if c.factor == 2 and c.factor_class == (1, -1, -1)]
+    lifted = [c for c in s.curves if c.name in _names(s, 2)
+              and _second_factor_class(s, c) == (1, -1, -1)]
     assert len(lifted) == 1
     assert lifted[0].vector == (0, 1, 1, 1, 1, 0)
 
@@ -106,7 +120,7 @@ def test_factor_classes_are_minus_one_classes():
     classes = set(delpezzo.minus_one_classes(lat))
     lifts = [c for c in s.ne_curves() if c.name.startswith("e2_")]
     assert len(lifts) == len(classes)
-    assert {c.factor_class for c in lifts} == classes
+    assert {_second_factor_class(s, c) for c in lifts} == classes
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +174,7 @@ def test_first_block_closed_form_matches_oracle(r1):
             == set(delpezzo.nef_cone(delpezzo.build(r1)).rays))
     doubled = sorted({d + (x,) for d in nef for x in (0, d[-1])})
     rows = [c.vector[:s.idx_h2] + c.vector[s.idx_e:]
-            for c in s.ne_curves() if c.factor != 2]
+            for c in s.ne_curves() if c.name not in _names(s, 2)]
     assert doubled == dual_by_facet_enumeration(rows)
 
 
@@ -284,8 +298,7 @@ def test_containment_matches_pairwise_oracle(r1, r2):
     cases = [(s, first + sc.t_divisors(s))]
     cases += [(s, first + _non_nef_t(s, k, e))
               for k in range(len(sc.t_divisors(s))) for e in (0, 3)]
-    bent = ["e", "f"] + [next(c.name for c in s.curves if c.factor == k)
-                         for k in (1, 2)]
+    bent = ["e", "f"] + [_names(s, k)[0] for k in (1, 2)]
     cases += [(_bent(s, name, slot), first + sc.t_divisors(s))
               for name in bent for slot in (s.idx_e, s.idx_e + 1)]
     witnesses = []
@@ -343,13 +356,34 @@ def _with_curves(s, curves):
 @pytest.mark.parametrize("r1,r2", [(1, 3), (2, 8)])
 def test_theorem_unlifted_generator_is_refuted(r1, r2):
     s = sc.build_scenario(r1, r2)
-    dropped = _curve(s, "e2_1")
     v = sc.verify_theorem(_with_curves(
         s, (c for c in s.curves if c.name != "e2_1")))
     assert v.containment_ok
     assert v.equality_status == sc.EQ_UNEQUAL
-    assert v.equality_witness == {"factor_class": dropped.factor_class,
+    assert v.equality_witness == {"curve": "e2_1",
                                   "reason": "NE(S2) generator not lifted"}
+
+
+@pytest.mark.parametrize("r1,r2", [(1, 3), (2, 8)])
+def test_theorem_renamed_curve_is_refuted(r1, r2):
+    # A curve is checked against the lift its name names: a listed vector
+    # under an unlisted name, or two curves with their names swapped, is
+    # a lift witness though every vector is in the catalog.
+    s = sc.build_scenario(r1, r2)
+    renamed = [dataclasses.replace(c, name="x") if c.name == "e2_1" else c
+               for c in s.curves]
+    swap = {"e2_1": "e2_2", "e2_2": "e2_1"}
+    swapped = [dataclasses.replace(c, name=swap.get(c.name, c.name))
+               for c in s.curves]
+    for curves, witness in (
+            (renamed, {"curve": "x",
+                       "reason": "not a listed class, or lifted twice"}),
+            (swapped, {"curve": "e2_2", "reason": "lift rule violated"})):
+        v = sc.verify_theorem(_with_curves(s, curves))
+        assert v.containment_witness == witness
+        assert v.equality_status == sc.EQ_UNEQUAL
+        assert v.equality_witness == witness
+        assert not v.ok
 
 
 @pytest.mark.parametrize("r1,r2", [(1, 3), (2, 8)])
@@ -386,7 +420,7 @@ def _bent(s, name, slot):
 def test_theorem_broken_first_factor_lift_is_refuted(r1, r2):
     s = sc.build_scenario(r1, r2)
     # Every claimed divisor has H1 >= 0, so no pairing turns negative.
-    v = sc.verify_theorem(_bent(s, "e1_1", s.idx_h1))
+    v = sc.verify_theorem(_bent(s, "e1_1", 0))
     assert v.containment_witness == {"curve": "e1_1",
                                      "reason": "lift rule violated"}
     assert v.equality_status == sc.EQ_UNEQUAL
@@ -397,28 +431,30 @@ def test_theorem_broken_first_factor_lift_is_refuted(r1, r2):
 def test_theorem_unlifted_first_factor_generator_is_refuted(r1, r2):
     s = sc.build_scenario(r1, r2)
     dropped = _curve(s, "l1_1")
-    # the class on dP_{r1+1}: the line through the first point and E0
-    assert dropped.factor_class == (1, -1) + (0,) * (r1 - 1) + (-1,)
+    # the class on dP_{r1+1}: the line through the first point and E0; its
+    # H1/E1 block is the pairing row of the class less E0, whose
+    # multiplicity the E slot carries
+    cls = (delpezzo.pairing_row(dropped.vector[:r1 + 1])
+           + (-dropped.vector[s.idx_e],))
+    assert cls == (1, -1) + (0,) * (r1 - 1) + (-1,)
     v = sc.verify_theorem(_with_curves(
         s, (c for c in s.curves if c.name != "l1_1")))
     assert v.containment_ok
     assert v.equality_status == sc.EQ_UNEQUAL
     assert v.equality_witness == {
-        "factor_class": dropped.factor_class,
-        "reason": "NE(dP_{r1+1}) generator not lifted"}
+        "curve": "l1_1", "reason": "NE(dP_{r1+1}) generator not lifted"}
 
 
 @pytest.mark.parametrize("r1,r2", [(0, 0), (2, 5)])
 def test_theorem_broken_f_split_is_refuted(r1, r2):
     s = sc.build_scenario(r1, r2)
-    v = sc.verify_theorem(_bent(s, "f", s.idx_h1))
+    v = sc.verify_theorem(_bent(s, "f", 0))
     assert v.containment_witness == {"curve": "f",
                                      "reason": "F split violated"}
     assert v.equality_status == sc.EQ_UNEQUAL and not v.ok
     v = sc.verify_theorem(_with_curves(
         s, (c for c in s.curves if c.name != "e")))
-    assert v.equality_witness == {"factor_class": "e",
-                                  "reason": "fiber not lifted"}
+    assert v.equality_witness == {"curve": "e", "reason": "fiber not lifted"}
 
 
 def _cell_records(cells):
@@ -444,10 +480,9 @@ def _immutable(x):
 
 def test_scenario_tables_are_every_lattice_cache():
     # A cache the fixtures do not clear could keep a table built before a
-    # test patched the orbits; the refutation is the one cache that depends
-    # on no lattice.
+    # test patched the orbits.
     cached = {f for f in vars(sc).values() if hasattr(f, "cache_clear")}
-    assert cached == {*SCENARIO_TABLES, sc._refutation}
+    assert cached == {*SCENARIO_TABLES}
 
 
 def test_tables_do_not_depend_on_cell_order():
@@ -472,7 +507,7 @@ def test_bent_curves_give_one_witness_warm_or_cold(r1, r2):
     # A bent first-factor and a bent second-factor curve are caught the
     # same way whether the tables are warm or built by the check itself.
     s = sc.build_scenario(r1, r2)
-    cases = [_bent(s, "e1_1", s.idx_h1), _bent(s, "e2_1", s.idx_h2 + 1)]
+    cases = [_bent(s, "e1_1", 0), _bent(s, "e2_1", s.idx_h2 + 1)]
     warm = [sc.verify_theorem(b) for b in cases]
     _clear_tables()
     assert [sc.verify_theorem(b) for b in cases] == warm
@@ -522,8 +557,8 @@ def test_anticanonical_pairings_frozen():
 def test_minus_k_negative_curve_r2_2():
     s = sc.build_scenario(0, 2)
     mk = sc.anticanonical(s)
-    lifted = next(c for c in s.ne_curves()
-                  if c.factor_class == (1, -1, -1))
+    lifted = next(c for c in s.ne_curves() if c.name in _names(s, 2)
+                  and _second_factor_class(s, c) == (1, -1, -1))
     assert dot(mk, lifted.vector) == -1
 
 
@@ -571,8 +606,8 @@ def test_delta_certificate_is_strict():
     mk = sc.anticanonical(s)
     kept = tuple(c for c in s.curves if dot(mk, c.vector) >= 0)
     assert sc.classify(dataclasses.replace(s, curves=kept)).weak_fano
-    zero = sc.Curve("e-f", tuple(a - b for a, b in zip(_curve(s, "e").vector,
-                                                       _curve(s, "f").vector)))
+    zero = sc.NamedVector("e-f", tuple(
+        a - b for a, b in zip(_curve(s, "e").vector, _curve(s, "f").vector)))
     s = dataclasses.replace(s, curves=kept + (zero,))
     cert = sc.delta_certificate(s)
     assert cert["pairings"]["e-f"] == 0
