@@ -7,6 +7,8 @@ oracle).  A *chain certificate* walks a divisor down a chain of strata,
 checking at each stratum that the restricted divisor minus the class of the
 next stratum stays nef; a *grid certificate* does the same over a rectangular
 grid of strata below an outer chain, subtracting both neighbor classes.
+What a certificate's shape proves is decided in :func:`verify` alone, and a
+failed check's :class:`CheckRecord` is the report's witness as it stands.
 
 Product certificates are assembled for X1 x X2 blown up along {point} x A2
 and then along the strict transform of X1 x {point}, from one chain per
@@ -84,18 +86,6 @@ class Stratum:
                 raise CertificateError(
                     f"stratum {self.id!r}: oracle curve of length {len(c)}, "
                     f"rank is {self.rank}")
-
-    def nef_check(self, v: Sequence[Number]):
-        """(passed, witness_curve, witness_value) for the class v."""
-        for c in self.oracle_curves:
-            val = dot(c, v)
-            if val < 0:
-                return False, c, val
-        return True, None, None
-
-    def same_shape(self, other: "Stratum") -> bool:
-        return (self.rank == other.rank
-                and self.oracle_curves == other.oracle_curves)
 
 
 @dataclass(frozen=True)
@@ -232,8 +222,8 @@ class GridCertificate:
                 raise CertificateError(
                     f"cell ({i}, {j}): restriction rows do not match the "
                     f"rank of cell ({i}, {j + 1})")
-        corner = self.outer[c].child
-        if not corner.same_shape(self.cells[(c, c)].stratum):
+        corner, cell = self.outer[c].child, self.cells[(c, c)].stratum
+        if corner.rank != cell.rank or corner.oracle_curves != cell.oracle_curves:
             raise CertificateError(
                 "the outer chain must end on the corner cell "
                 f"({c}, {c}): rank/oracle mismatch")
@@ -245,11 +235,16 @@ class GridCertificate:
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """A failed check names the first oracle curve pairing negatively."""
+
     location: str
     value: Vec
-    passed: bool
     witness_curve: Optional[Vec] = None
     witness_pairing: Optional[Number] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness_curve is None
 
 
 @dataclass(frozen=True)
@@ -260,16 +255,15 @@ class Verdict:
 
     @property
     def failure(self) -> Optional[CheckRecord]:
-        for rec in self.checks:
-            if not rec.passed:
-                return rec
-        return None
+        return next((rec for rec in self.checks if not rec.passed), None)
 
 
 def _run_check(stratum: Stratum, vec: Vec, location: str) -> CheckRecord:
-    passed, curve, val = stratum.nef_check(vec)
-    return CheckRecord(location=location, value=vec, passed=passed,
-                       witness_curve=curve, witness_pairing=val)
+    for curve in stratum.oracle_curves:
+        pairing = dot(curve, vec)
+        if pairing < 0:
+            return CheckRecord(location, vec, curve, pairing)
+    return CheckRecord(location, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +276,20 @@ def _verdict(records: list[CheckRecord], certified: str) -> Verdict:
                    certified=certified if ok else None)
 
 
-def _walk_chain(cert: ChainCertificate) -> list[CheckRecord]:
-    """Restrict the divisor down the chain; check the difference with the
-    next stratum's class at each step, or plain nefness where none is given."""
+def _walk(divisor: Vec, steps, label: str) -> tuple[list[CheckRecord], Vec]:
+    """Restrict ``divisor`` down ``steps``; check the difference with the
+    next stratum's class at each step, or plain nefness where none is given.
+    Returns the records and the divisor on the last stratum."""
     records = []
-    d = cert.divisor
-    for k, s in enumerate(cert.steps):
-        d = _apply(s.restriction, d)
-        loc = f"step {k} ({s.child.id})"
+    for k, s in enumerate(steps):
+        divisor = _apply(s.restriction, divisor)
+        loc = f"{label} {k} ({s.child.id})"
         if s.next_class is None:
-            records.append(_run_check(s.child, d, f"{loc}, final"))
+            records.append(_run_check(s.child, divisor, f"{loc}, final"))
         else:
-            records.append(_run_check(s.child, _sub(d, s.next_class), loc))
-    return records
+            records.append(_run_check(s.child, _sub(divisor, s.next_class),
+                                      loc))
+    return records, divisor
 
 
 def verify_chain(cert: ChainCertificate) -> Verdict:
@@ -304,7 +299,8 @@ def verify_chain(cert: ChainCertificate) -> Verdict:
         raise CertificateError(
             "the final step of a full chain must not carry a next-stratum "
             "class (use the hypothesis-only verifier for open-ended chains)")
-    return _verdict(_walk_chain(cert), "divisor is nef on the root space")
+    return _verdict(_walk(cert.divisor, cert.steps, "step")[0],
+                    "divisor is nef on the root space")
 
 
 def verify_HE_hypotheses(cert: ChainCertificate) -> Verdict:
@@ -314,48 +310,37 @@ def verify_HE_hypotheses(cert: ChainCertificate) -> Verdict:
         raise CertificateError(
             f"step {len(cert.steps) - 1}: the final step of an open-ended "
             f"chain carries the class of the next stratum")
-    return _verdict(_walk_chain(cert), "pullback minus exceptional divisor "
-                    "is nef on the blowup")
+    return _verdict(_walk(cert.divisor, cert.steps, "step")[0],
+                    "pullback minus exceptional divisor is nef on the blowup")
 
 
-def _propagate_grid(cert: GridCertificate):
-    d = cert.divisor
-    outer_values = []
-    for s in cert.outer:
-        d = _apply(s.restriction, d)
-        outer_values.append(d)
-    values: dict[tuple[int, int], Vec] = {(cert.c, cert.c): d}
-    for i in range(cert.c, cert.a + 1):
-        for j in range(cert.c, cert.b + 1):
-            if (i, j) == (cert.c, cert.c):
+def _propagate_grid(cert: GridCertificate, corner: Vec) -> dict:
+    """The divisor on every cell from its corner value; paths must agree."""
+    c, cells = cert.c, cert.cells
+    values = {(c, c): corner}
+    for i in range(c, cert.a + 1):
+        for j in range(c, cert.b + 1):
+            if (i, j) == (c, c):
                 continue
-            candidates = []
-            if i > cert.c:
-                src = cert.cells[(i - 1, j)]
-                candidates.append(_apply(src.right_map, values[(i - 1, j)]))
-            if j > cert.c:
-                src = cert.cells[(i, j - 1)]
-                candidates.append(_apply(src.down_map, values[(i, j - 1)]))
-            for other in candidates[1:]:
-                if other != candidates[0]:
-                    raise CertificateError(
-                        f"restriction maps disagree on the divisor along "
-                        f"different paths into cell ({i}, {j})")
-            values[(i, j)] = candidates[0]
-    return values, outer_values
+            paths = []
+            if i > c:
+                paths.append(_apply(cells[i - 1, j].right_map, values[i - 1, j]))
+            if j > c:
+                paths.append(_apply(cells[i, j - 1].down_map, values[i, j - 1]))
+            if paths[-1] != paths[0]:
+                raise CertificateError(
+                    f"restriction maps disagree on the divisor along "
+                    f"different paths into cell ({i}, {j})")
+            values[i, j] = paths[0]
+    return values
 
 
 def verify_HEF_hypotheses(cert: GridCertificate) -> Verdict:
     """Hypotheses for nefness of (pullback - both exceptionals) on the
     two-step blowup: outer difference checks, then double-difference checks
     at every grid cell with both neighbors."""
-    values, outer_values = _propagate_grid(cert)
-    records = []
-    for k in range(cert.c):
-        s = cert.outer[k]
-        records.append(_run_check(
-            s.child, _sub(outer_values[k], s.next_class),
-            f"outer {k} ({s.child.id})"))
+    records, d = _walk(cert.divisor, cert.outer[:cert.c], "outer")
+    values = _propagate_grid(cert, _apply(cert.outer[cert.c].restriction, d))
     for i in range(cert.c, cert.a):
         for j in range(cert.c, cert.b):
             cell = cert.cells[(i, j)]
@@ -364,6 +349,19 @@ def verify_HEF_hypotheses(cert: GridCertificate) -> Verdict:
                                       f"cell ({i},{j}) ({cell.stratum.id})"))
     return _verdict(records, "pullback minus both exceptional divisors is "
                     "nef on the two-step blowup")
+
+
+def verify(cert: Union[ChainCertificate, GridCertificate]
+           ) -> tuple[Verdict, str]:
+    """The verdict on a certificate and the statement its shape proves: a
+    grid the two-step blowup hypotheses, a chain whose last step still names
+    a next-stratum class the single-blowup hypotheses, any other chain plain
+    nefness on the root space."""
+    if isinstance(cert, GridCertificate):
+        return verify_HEF_hypotheses(cert), "two-step blowup hypotheses"
+    if cert.steps[-1].next_class is not None:
+        return verify_HE_hypotheses(cert), "single-blowup hypotheses"
+    return verify_chain(cert), "nefness on the root space"
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +468,8 @@ def build_product_certificates(f1: ChainCertificate,
                         f"root ({f.steps[0].child.id})") for f in (f1, f2)]
     x_case = _pick("globally-nef-divisor", 1,
                    [None if r.passed else r for r in roots])
-    a_sel = 3 if all(r.passed for r in _walk_chain(f1)[:-1]) else 4
+    a_sel = 3 if all(r.passed for r in
+                     _walk(f1.divisor, f1.steps, "step")[0][:-1]) else 4
 
     a, b = len(f1.steps) - 1, len(f2.steps) - 1
     cells: dict[tuple[int, int], GridCell] = {}

@@ -22,7 +22,7 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -30,17 +30,15 @@ from . import __version__, blowup, delpezzo
 from . import scenario as sc
 from .certificates import (
     CertificateError,
-    GridCertificate,
     _num_out,
     build_product_certificates,
     certificate_from_dict,
     certificate_to_dict,
     tsukioka_factors,
+    verify,
     verify_HE_hypotheses,
     verify_HEF_hypotheses,
-    verify_chain,
 )
-from .exact import ConeError
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -90,7 +88,8 @@ def _encode(x, pad=None) -> str:
         elif x is None:
             return "null"
         elif is_dataclass(kind):
-            items = [(f.name, getattr(x, f.name)) for f in fields(kind)]
+            # The generated __init__ sets the fields in declaration order.
+            items = vars(x).items()
         elif isinstance(x, float):
             raise TypeError("refusing to serialize a float in an exact report")
         else:
@@ -253,24 +252,6 @@ def _cmd_dp_minus_one(args):
     return EXIT_VERIFIED, lines, extra, {"count": len(classes)}, {}
 
 
-def _verify_loaded_certificate(cert):
-    """Dispatch on certificate shape: a grid always certifies the two-step
-    hypotheses; a chain whose last step still names a next stratum class
-    certifies the single-blowup hypotheses, otherwise plain nefness."""
-    if isinstance(cert, GridCertificate):
-        return verify_HEF_hypotheses(cert), "two-step blowup hypotheses"
-    if cert.steps[-1].next_class is not None:
-        return verify_HE_hypotheses(cert), "single-blowup hypotheses"
-    return verify_chain(cert), "nefness on the root space"
-
-
-def _failing_check(rec) -> dict:
-    """The witness of a failed certificate check."""
-    return {"location": rec.location, "value": rec.value,
-            "witness_curve": rec.witness_curve,
-            "witness_pairing": rec.witness_pairing}
-
-
 def _cmd_cert_verify(args):
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -279,23 +260,20 @@ def _cmd_cert_verify(args):
     except RecursionError:
         # The decoder recurses once per nesting level.
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
-    cert = certificate_from_dict(data)
-    verdict, what = _verify_loaded_certificate(cert)
+    verdict, what = verify(certificate_from_dict(data))
     lines = [f"certificate kind: {what}",
              f"checks run: {len(verdict.checks)}"]
-    witnesses = {}
+    rec = verdict.failure
     if verdict.ok:
         lines.append(f"verified: {verdict.certified}")
-        code = EXIT_VERIFIED
     else:
-        rec = verdict.failure
         lines.append(f"REFUTED at {rec.location}: value {_fmt(rec.value)} "
                      f"pairs {_fmt(rec.witness_pairing)} with curve "
                      f"{_fmt(rec.witness_curve)}")
-        witnesses["failing_check"] = _failing_check(rec)
-        code = EXIT_REFUTED
     verdicts = {"certificate": "verified" if verdict.ok else "refuted",
                 "checks": len(verdict.checks)}
+    witnesses = {} if verdict.ok else {"failing_check": rec}
+    code = EXIT_VERIFIED if verdict.ok else EXIT_REFUTED
     return code, lines, {"file": args.file}, verdicts, witnesses
 
 
@@ -319,10 +297,8 @@ def _cmd_cert_example(args):
     verdicts = {"cases": list(built.cases),
                 "chain": "verified" if chain_v.ok else "refuted",
                 "grid": "verified" if grid_v.ok else "refuted"}
-    witnesses = {}
-    for tag, v in (("chain", chain_v), ("grid", grid_v)):
-        if not v.ok:
-            witnesses[tag] = _failing_check(v.failure)
+    witnesses = {tag: v.failure for tag, v in
+                 (("chain", chain_v), ("grid", grid_v)) if not v.ok}
     extra = {"chain_certificate": certificate_to_dict(built.chain),
              "grid_certificate": certificate_to_dict(built.grid)}
     return (EXIT_VERIFIED if ok else EXIT_REFUTED), lines, extra, verdicts, witnesses
@@ -440,7 +416,7 @@ def run(argv=None) -> int:
         if out:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-    except (OSError, ValueError, CertificateError, ConeError) as exc:
+    except (OSError, ValueError, CertificateError) as exc:
         # Unreadable input, an unwritable --out, or a malformed document.
         bad_json = isinstance(exc, json.JSONDecodeError)
         print(f"error: {'not valid JSON: ' if bad_json else ''}{exc}",

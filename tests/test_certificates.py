@@ -26,11 +26,11 @@ from moricone.certificates import (
     certificate_from_dict,
     certificate_to_dict,
     tsukioka_factors,
+    verify,
     verify_chain,
     verify_HE_hypotheses,
     verify_HEF_hypotheses,
 )
-from moricone.cli import _verify_loaded_certificate
 
 I1 = ((1,),)
 I2 = ((1, 0), (0, 1))
@@ -354,7 +354,8 @@ def force_outer(monkeypatch, case):
     the other factor's root check fails, while the chosen factor keeps its
     real one, so the build still raises if that fails."""
     real = certificates._pick
-    failed = CheckRecord(location="forced", value=(), passed=False)
+    failed = CheckRecord(location="forced", value=(-1,), witness_curve=(1,),
+                         witness_pairing=-1)
 
     def forced(pair_name, first_num, failing):
         if first_num == 1:
@@ -611,7 +612,7 @@ def _integral_certificates():
 def test_integral_certificates_stay_int_and_match_fractions():
     seen = 0
     for label, cert in _integral_certificates():
-        verdict, _ = _verify_loaded_certificate(cert)
+        verdict, _ = verify(cert)
         assert verdict.ok, label
         # Strata, restrictions, classes and check values hold plain ints;
         # no float, and no Fraction where the value is integral.
@@ -619,7 +620,7 @@ def test_integral_certificates_stay_int_and_match_fractions():
             assert leaf is None or type(leaf) in (int, str, bool), (label, leaf)
         as_fractions = _as_fractions(cert)
         assert all(type(x) is Fraction for x in as_fractions.divisor), label
-        again, _ = _verify_loaded_certificate(as_fractions)
+        again, _ = verify(as_fractions)
         assert all(type(x) is Fraction
                    for rec in again.checks for x in rec.value), label
         assert again == verdict, label

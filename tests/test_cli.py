@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import moricone
-from moricone import blowup
+from moricone import blowup, cli
 from moricone import scenario as sc
 from moricone.certificates import (CheckRecord, build_product_certificates,
                                    certificate_to_dict, tsukioka_factors)
@@ -716,6 +716,24 @@ def test_lifted_classes_sharing_a_name_are_an_internal_error(
         "AssertionError: factor 1, r = 2: two lifted classes share a name\n")
 
 
+def test_dimension_mismatch_on_a_verdict_path_is_an_internal_error(
+        monkeypatch, capsys):
+    # The reader and the constructors shape-check every input, so a length
+    # mismatch inside a verdict is a failed check of the program: exit 3,
+    # not the input-error code 2.
+    real = sc._fibers
+    monkeypatch.setattr(sc, "_fibers", lambda r1, r2: {
+        **real(r1, r2), "e": (0, 0, 1)})
+    code = run(["dp", "scenario", "--r1", "1", "--r2", "2", "--verify-cones"])
+    assert code == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith(
+        "DimensionMismatchError: curve 'e' has 3 entries, the Picard rank "
+        "is 7\n")
+
+
 def test_importing_the_package_loads_no_module():
     # The package binds its version and nothing else, and the exact core
     # loads alone.
@@ -866,6 +884,36 @@ def test_example_tsukioka_bad_degree():
                 "--n1", "2", "--n2", "2", "--d", "0"]) == EXIT_ERROR
 
 
+def test_example_tsukioka_refuted_report(monkeypatch, tmp_path):
+    # Factor 2's divisor (1,) on P^2 still passes its root check, so the
+    # build succeeds, but the difference (1,) - (2,) at the product root
+    # pairs -1 with the second factor's curve: both certificates refute
+    # there, and each report witness is the failed check.
+    f1, f2 = tsukioka_factors(2, 2, 2)
+    monkeypatch.setattr(cli, "tsukioka_factors", lambda n1, n2, d: (
+        f1, dataclasses.replace(f2, divisor=(1,))))
+    out_file = tmp_path / "report.json"
+    code, out = capture(["cert", "example-tsukioka", "--n1", "2", "--n2",
+                         "2", "--d", "2", "--out", str(out_file)])
+    assert code == EXIT_REFUTED
+    assert out.splitlines()[1:] == [
+        "case selectors: [1, 3, 5]",
+        "chain certificate (pullback minus first exceptional): REFUTED "
+        "(3 checks)",
+        "grid certificate (pullback minus both exceptionals): REFUTED "
+        "(3 checks)"]
+    report = json.loads(out_file.read_text())
+    assert report["verdicts"] == {"cases": [1, 3, 5], "chain": "refuted",
+                                  "grid": "refuted"}
+    failed = {"value": [1, -1], "witness_curve": [0, 1],
+              "witness_pairing": -1}
+    assert report["witnesses"] == {
+        "chain": {"location": "step 0 (P^2*P^2)", **failed},
+        "grid": {"location": "outer 0 (P^2*P^2)", **failed}}
+    assert [list(w) for w in report["witnesses"].values()] == [
+        ["location", "value", "witness_curve", "witness_pairing"]] * 2
+
+
 def test_refuted_certificate_carries_witness(tmp_path):
     built = build_product_certificates(*tsukioka_factors(2, 2, 2))
     doc = certificate_to_dict(built.grid)
@@ -913,7 +961,7 @@ def test_out_file_mirrors_report(tmp_path):
 
 _NESTED_FLOATS = {
     "top level": 0.5,
-    "dataclass field": CheckRecord(location="x", value=(1,), passed=False,
+    "dataclass field": CheckRecord(location="x", value=(1,),
                                    witness_curve=(1,), witness_pairing=0.5),
     "tuple in a dict": {"pairings": (1, 0.5)},
     "dict value": {"e": 1, "f": 0.5},
@@ -997,8 +1045,8 @@ def _containers(children):
         st.dictionaries(_KEYS, children, max_size=4).filter(
             lambda d: len(set(map(str, d))) == len(d)),
         st.builds(CheckRecord, location=st.text(_CHARS, max_size=4),
-                  value=children, passed=st.booleans(),
-                  witness_curve=children, witness_pairing=children))
+                  value=children, witness_curve=children,
+                  witness_pairing=children))
 
 
 @given(st.recursive(_LEAVES, _containers, max_leaves=30))
